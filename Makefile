@@ -3,7 +3,8 @@
 PYTHON ?= python
 export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check test lint lint-cold docstrings docs bench bench-quick
+.PHONY: check test lint lint-cold docstrings docs bench bench-quick \
+	perfbench perfbench-test
 
 check: test lint
 
@@ -54,3 +55,19 @@ bench-quick:
 		test_perf_training.py test_perf_trace.py \
 		test_perf_signal.py test_robustness_resume.py \
 		test_perf_observability.py test_perf_lint.py -x -q
+
+# The end-to-end, layer-attributed benchmark (perfbench/README.md): the
+# end-to-end metrics of all three workloads, then the per-layer
+# breakdown of the reference-capture campaign, 24 s each on input set 0
+# (re-check a claimed gain on the held-out set: --seed 3).
+perfbench:
+	for workload in fig8 campaign tvla-sim; do \
+		python3 perfbench/run.py --workload $$workload --seed 0 \
+			--seconds 24 --trace 0 || exit 1; \
+	done
+	python3 perfbench/run.py --workload campaign --seed 0 --seconds 24 \
+		--trace 1
+
+# The benchmark harness's own tests.
+perfbench-test:
+	python3 -m pytest perfbench -q

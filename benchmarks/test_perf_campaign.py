@@ -6,7 +6,7 @@ runs at least 3x faster with ``workers=8`` than with ``workers=1``,
 while agreeing to within the 1e-9 numerical contract.  On machines with
 fewer than 8 CPUs the pool shrinks to the CPU count and the speedup
 comes from the batched engine itself (vectorized repetition folding, the
-emitter's lag-factored fast evaluator, and the cached multi-RHS
+emitter's closed-form repetition evaluator, and the cached multi-RHS
 deconvolver).
 
 Emits the machine-readable ``benchmarks/results/BENCH_sim.json`` report

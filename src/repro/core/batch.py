@@ -14,7 +14,7 @@ are chunked over a process pool when ``workers > 1`` (falling back to an
 in-process loop on single-CPU machines), every item is reseeded from
 ``(campaign seed, item index)`` so results never depend on worker count
 or scheduling, and the per-item hot loops go through the batched engine
-(the emitter's lag-factored fast evaluator, the cached kernel response,
+(the emitter's closed-form repetition evaluator, the cached kernel response,
 and the cached multi-RHS deconvolver).
 
 Numerical contract: batched campaign results agree with the sequential
@@ -39,6 +39,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..hardware.device import HardwareDevice
+from ..hardware.emitter import EVALUATOR_TAG
 from ..isa.program import Program
 from ..observability import get_metrics, get_tracer, record_campaign
 from ..parallel import (CampaignLedger, parallel_map, resolve_workers,
@@ -218,13 +219,15 @@ def campaign_probe_key(device: HardwareDevice, program: Program,
     content hash the trace cache uses for the program/config pair —
     salted with everything else that determines the probe's result:
     campaign seed, probe index, repetition count, kernel, sample rate,
-    engine choice, and the device's emitter digest.  A resumed campaign
-    therefore only reuses a journaled probe when rerunning it would be
-    bit-identical anyway.
+    engine choice, the emitter evaluator's tag
+    (:data:`~repro.hardware.emitter.EVALUATOR_TAG`), and the device's
+    emitter digest.  A resumed campaign therefore only reuses a journaled
+    probe when rerunning it would be bit-identical anyway; journals
+    written by an older evaluator are recaptured instead.
     """
     salt = (f"campaign:{seed}:{index}:{repetitions}:{kernel!r}:"
-            f"{samples_per_cycle}:{batched}:{device.name}:"
-            f"{device._emitter_digest}")
+            f"{samples_per_cycle}:{batched}:{EVALUATOR_TAG}:"
+            f"{device.name}:{device._emitter_digest}")
     return trace_key(program, device.core_config,
                      core_kind=device.core_kind, max_cycles=max_cycles,
                      salt=salt)
@@ -320,15 +323,17 @@ def measurement_campaign(device: HardwareDevice,
 
     ``workers=1`` is the sequential baseline: the legacy per-repetition
     capture loop and the uncached deconvolver, one probe at a time.
-    ``workers > 1`` switches to the batched engine — the emitter's fast
-    evaluator, the vectorized repetition fold, and the cached multi-RHS
-    deconvolver — and fans the probes out over (up to) that many worker
-    processes; on machines with fewer CPUs the pool shrinks to the CPU
-    count (a single-CPU machine runs the batched engine in-process,
-    which is where most of the speedup lives anyway).  Because both
-    engines reseed identically per probe, results differ only by the
-    batched engine's floating-point reordering: max abs difference is
-    well inside 1e-9.
+    ``workers > 1`` switches to the batched engine — the emitter's
+    closed-form repetition evaluator (one shared sample grid per
+    capture), the vectorized repetition fold with one offset-bin
+    assignment per capture, and the cached multi-RHS deconvolver — and
+    fans the probes out over (up to) that many worker processes; on
+    machines with fewer CPUs the pool shrinks to the CPU count (a
+    single-CPU machine runs the batched engine in-process, which is
+    where most of the speedup lives anyway).  Because both engines
+    reseed identically per probe, results differ only by the batched
+    engine's floating-point reordering: max abs difference is well
+    inside 1e-9.
 
     Supervision (see :func:`supervised_campaign` for the mechanics):
     ``item_timeout`` bounds each probe's wall clock, failed probes

@@ -20,7 +20,7 @@ from ..robustness.errors import AcquisitionError, ConfigurationError
 from ..robustness.faults import FaultInjector, FaultPlan
 from ..robustness.health import (CaptureQuality, assess_capture,
                                  screen_repetitions)
-from ..signal.acquisition import Oscilloscope, ScopeConfig
+from ..signal.acquisition import Oscilloscope, SampleGrid, ScopeConfig
 from ..signal.modulo import modulo_average
 from ..uarch.config import CoreConfig, DEFAULT_CONFIG
 from ..uarch.pipeline import Pipeline
@@ -195,33 +195,38 @@ class HardwareDevice:
         and the returned measurement carries a
         :class:`~repro.robustness.health.CaptureQuality` for gating.
 
-        ``batched=True`` vectorizes the repetition collection loop (one
-        waveform evaluation for all repetitions, through the emitter's
-        lag-factored fast evaluator); it replays the exact same RNG
-        stream, and the resulting reference agrees with the sequential
-        loop's to well inside the batch engine's 1e-9 contract (the fast
-        evaluator reorders floating-point operations, so agreement is
-        ~1e-13 rather than bitwise).
+        ``batched=True`` vectorizes the repetition collection loop: all
+        delivered repetitions share one
+        :class:`~repro.signal.acquisition.SampleGrid`, evaluated once by
+        the emitter's closed-form repetition evaluator
+        (:meth:`~repro.hardware.emitter.HardwareEmitter.continuous_fast`).
+        It replays the exact same RNG stream, and the resulting reference
+        agrees with the sequential loop's to well inside the batch
+        engine's 1e-9 contract (the closed form reorders floating-point
+        operations, so agreement is ~1e-12 rather than bitwise).  Each
+        capture's offset bins are computed once, by the screen, and
+        reused by the final fold and the quality assessment (bit for
+        bit what recomputing them gives).
 
         Only the deterministic pipeline trace is cache-served here; the
         scope path (noise, faults, screening) always runs live.
         """
         trace = self.run_trace(program, max_cycles=max_cycles)
         # batched mode runs everything (pilot sweep included) through the
-        # emitter's lag-factored fast evaluator; sequential mode keeps the
+        # emitter's closed-form evaluator; sequential mode keeps the
         # exact legacy evaluator throughout
         waveform = self.emitter.continuous_fast(trace) if batched \
             else self.emitter.continuous(trace)
         duration = trace.num_cycles * self.instance.clock_scale
+        num_bins = trace.num_cycles * self.samples_per_cycle
         scope_config = self.scope_config
         if self.auto_range:
             # the operator's vertical auto-range: one pilot sweep sets the
             # ADC full scale so dense programs don't rail the converter
             # (the default 4.0 full scale clips heavy combination groups)
-            pilot_grid = np.linspace(0.0, duration,
-                                     trace.num_cycles *
-                                     self.samples_per_cycle,
-                                     endpoint=False)
+            pilot_grid = SampleGrid(
+                np.linspace(0.0, duration, num_bins, endpoint=False),
+                offsets=[0.0], step=duration / num_bins, count=num_bins)
             span = float(np.max(np.abs(waveform(pilot_grid))))
             if span > 0:
                 scope_config = replace(scope_config,
@@ -235,7 +240,6 @@ class HardwareDevice:
             raise AcquisitionError(
                 f"capture run lost all {repetitions} repetitions "
                 f"to trigger/brown-out faults")
-        num_bins = trace.num_cycles * self.samples_per_cycle
         screen = screen_repetitions(
             times_list, samples_list, period=duration, num_bins=num_bins,
             adc_range=scope_config.adc_range,
@@ -247,8 +251,10 @@ class HardwareDevice:
                 f"screened out as corrupt")
         times = np.concatenate([times_list[i] for i in kept])
         samples = np.concatenate([samples_list[i] for i in kept])
+        bins = screen.bins[screen.keep].ravel() \
+            if screen.bins is not None else None
         reference, _ = modulo_average(
-            samples, times, period=duration, num_bins=num_bins)
+            samples, times, period=duration, num_bins=num_bins, bins=bins)
         quality = assess_capture(
             samples, times, period=duration, num_bins=num_bins,
             adc_range=scope_config.adc_range,
@@ -256,7 +262,7 @@ class HardwareDevice:
             lost_repetitions=stats.lost,
             screened_repetitions=screen.rejected,
             total_repetitions=stats.requested,
-            reference=reference)
+            reference=reference, bins=bins)
         return Measurement(signal=reference, trace=trace,
                            samples_per_cycle=self.samples_per_cycle,
                            program_name=program.name,

@@ -17,19 +17,40 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from ..robustness.errors import ConfigurationError
+from ..signal.acquisition import SampleGrid
+from ..signal.kernels import DampedSineKernel
 from ..uarch.latches import STAGES
 from ..uarch.trace import ActivityTrace
 from .probe import CENTER, ProbePosition, coupling
 from .units import EmUnit
 
+#: Identifies the numerics of :meth:`HardwareEmitter.continuous_fast`.
+#: Campaign checkpoint keys are salted with it, so probes journaled by an
+#: evaluator whose floating-point results differed are recaptured rather
+#: than replayed; change it whenever those results change.
+EVALUATOR_TAG = "closed-form-repetition"
+
 
 class HardwareEmitter:
-    """Synthesizes the analog emission of one device for one trace."""
+    """Synthesizes the analog emission of one device for one trace.
+
+    Every unit must radiate through a
+    :class:`~repro.signal.kernels.DampedSineKernel` (the closed-form
+    evaluator of :meth:`continuous_fast` relies on it); any other kernel
+    raises :class:`~repro.robustness.errors.ConfigurationError` here.
+    """
 
     def __init__(self, units: Sequence[EmUnit],
                  probe: ProbePosition = CENTER,
                  gain: float = 1.0,
                  clock_scale: float = 1.0):
+        for unit in units:
+            if not isinstance(unit.kernel, DampedSineKernel):
+                raise ConfigurationError(
+                    f"unit {unit.name!r} radiates through a "
+                    f"{type(unit.kernel).__name__}; the emitter models "
+                    f"every source as a damped sine")
         self.units = tuple(units)
         self.probe = probe
         self.gain = gain
@@ -45,13 +66,15 @@ class HardwareEmitter:
         cycles = trace.num_cycles
         transitions = {stage: trace.transition_matrix(stage)
                        for stage in STAGES}
-        classes = {stage: trace.em_classes(stage) for stage in STAGES}
+        # static activity depends on a cycle only through its class label
+        classes = {stage: np.unique(np.array(trace.em_classes(stage)),
+                                    return_inverse=True)
+                   for stage in STAGES}
         amplitudes = np.zeros((cycles, len(self.units)))
         for column, unit in enumerate(self.units):
-            static = np.fromiter(
-                (unit.static_activity(label)
-                 for label in classes[unit.stage]),
-                dtype=float, count=cycles)
+            labels, inverse = classes[unit.stage]
+            static = np.array([unit.static_activity(label)
+                               for label in labels], dtype=float)[inverse]
             flips = transitions[unit.stage][:, unit.bit_indices] @ \
                 unit.bit_weights
             amplitudes[:, column] = static + flips
@@ -133,111 +156,87 @@ class HardwareEmitter:
         return evaluate
 
     def continuous_fast(self, trace: ActivityTrace):
-        """Batch-optimized ``y(t)``: same math as :meth:`continuous`.
+        """Closed-form ``y(t)`` for repetition-structured sample grids.
 
-        Rewrites each damped sine across its integer lags with the angle
-        addition formula — ``k(frac + lag)`` becomes a per-sample
-        ``(sin, cos, exp)`` triple times per-lag constants — so one unit
-        costs three transcendental passes instead of two per lag, and the
-        per-(unit, lag) amplitude gathers collapse into a single fancy
-        index into a zero-padded amplitude matrix.  The result is
-        mathematically identical to :meth:`continuous` but not
-        bit-identical (different operation order; observed agreement is
-        ~1e-13, far inside the batch engine's 1e-9 contract).  Falls back
-        to :meth:`continuous` if any unit carries a non-damped-sine
-        kernel.
+        Same math as :meth:`continuous`.  Every unit is a damped sine,
+        so its contribution at ``t`` (base cycle ``b = floor(t)``,
+        fraction ``f``) is ``Im[A[b, u] * exp(s_u * f)]`` with
+        ``s_u = 2*pi*i / t0_u - theta_u``, where the per-cycle complex
+        table ``A`` already holds the sum over the kernel's lags and the
+        unit's probe phase.
+
+        Given a :class:`~repro.signal.acquisition.SampleGrid` — repetition
+        ``r`` sampled at ``offsets[r] + k * step`` — the exponential
+        splits into a per-``(k, unit)`` table on the shared grid
+        ``k * step`` (at its base cycle and at the next one), a
+        per-``(repetition, unit)`` scalar ``exp(s_u * offsets[r])``, and a
+        per-sample integer carry taken from ``floor`` of the actual
+        sample time.  Each further repetition then costs multiply-adds
+        only: no transcendental per sample, and every factor stays
+        bounded for offsets of a few cycles.  A plain time array is
+        evaluated as one repetition at offset 0 on its own grid.
+
+        The result is mathematically identical to :meth:`continuous` but
+        not bit-identical (different operation order; agreement is
+        ~1e-12, far inside the batch engine's 1e-9 contract).
         """
-        from ..signal.kernels import DampedSineKernel
-        units = self.units
-        if not all(isinstance(unit.kernel, DampedSineKernel)
-                   for unit in units):
-            return self.continuous(trace)
         amplitudes = self.unit_amplitudes(trace)
         weighted = amplitudes * (self.gain * self._couplings)[None, :]
         num_cycles = trace.num_cycles
         scale = self.clock_scale
-
-        supports = np.array([int(np.ceil(unit.kernel.support_cycles))
-                             for unit in units])
+        kernels = [unit.kernel for unit in self.units]
+        supports = np.array([int(np.ceil(kernel.support_cycles))
+                             for kernel in kernels])
         max_lag = int(supports.max())
+        rates = np.array([2j * np.pi / kernel.t0 - kernel.theta
+                          for kernel in kernels])
+        phases = np.exp(1j * np.array([kernel.phase for kernel in kernels]))
+        # per-cycle table over base cycles b = -1 .. num_cycles + max_lag;
+        # the guard rows at both ends are zero and absorb clipped indices
         lags = np.arange(max_lag + 1)
-        t0 = np.array([unit.kernel.t0 for unit in units])
-        theta = np.array([unit.kernel.theta for unit in units])
-        phase = np.array([unit.kernel.phase for unit in units])
-        # (lags, units) constants: cos/sin of the per-lag phase advance,
-        # scaled by the per-lag decay; zeroed beyond each unit's support
-        lag_angle = 2.0 * np.pi * lags[:, None] / t0[None, :]
-        lag_decay = np.exp(-theta[None, :] * lags[:, None])
-        in_support = lags[:, None] <= supports[None, :]
-        lag_cos = np.where(in_support, np.cos(lag_angle) * lag_decay, 0.0)
-        lag_sin = np.where(in_support, np.sin(lag_angle) * lag_decay, 0.0)
-        # The lag sums depend on a sample time only through its integer
-        # base cycle, so fold them into per-*cycle* tables up front
-        # (a tiny convolution over the trace's cycles) — the per-sample
-        # work then reduces to one row gather plus the transcendentals.
-        # Zero-guard rows on both sides absorb out-of-range cycles.
-        pad = max_lag + 1
-        padded = np.zeros((num_cycles + 2 * pad, len(units)))
-        padded[pad:pad + num_cycles] = weighted
-        rows = padded.shape[0]
-        cos_table = np.zeros_like(padded)
-        sin_table = np.zeros_like(padded)
-        for lag in range(max_lag + 1):
-            shifted = np.roll(padded, lag, axis=0)
-            shifted[:lag] = 0.0
-            cos_table += shifted * lag_cos[lag][None, :]
-            sin_table += shifted * lag_sin[lag][None, :]
-        # fold the per-unit probe phase into the tables too, so the
-        # per-sample angle is a bare outer product (one fewer pass):
-        #   sin(a f + phi) X + cos(a f + phi) Y
-        #     = sin(a f)(X cos phi - Y sin phi)
-        #       + cos(a f)(X sin phi + Y cos phi)
-        cos_phase, sin_phase = np.cos(phase), np.sin(phase)
-        cos_table, sin_table = \
-            (cos_table * cos_phase[None, :] -
-             sin_table * sin_phase[None, :],
-             cos_table * sin_phase[None, :] +
-             sin_table * cos_phase[None, :])
-        # collapse each cycle's (X, Y) pair to amplitude/phase form:
-        #   X sin(a f) + Y cos(a f)  =  R sin(a f + psi)
-        # with R = hypot(X, Y), psi = atan2(Y, X) — a few hundred cheap
-        # per-cycle transcendentals up front buy one fewer per-sample
-        # transcendental pass below (sin instead of sin + cos)
-        amp_table = np.hypot(cos_table, sin_table)
-        shift_table = np.arctan2(sin_table, cos_table)
-        angular = 2.0 * np.pi / t0
-        neg_theta = -theta
-        # process in fixed-size chunks through preallocated buffers:
-        # keeps the working set L2-resident and avoids page-faulting a
-        # fresh ~2 MB temporary per elementwise pass on long time grids
-        chunk = 4096
-        num_units = len(units)
-        angle_buf = np.empty((chunk, num_units))
-        decay_buf = np.empty((chunk, num_units))
+        lag_weights = np.where(lags[:, None] <= supports[None, :],
+                               phases[None, :] *
+                               np.exp(np.outer(lags, rates)), 0.0)
+        rows = num_cycles + max_lag + 2
+        cycle_table = np.zeros((len(kernels), rows), dtype=complex)
+        for lag in lags:
+            cycle_table[:, 1 + lag:1 + lag + num_cycles] += \
+                weighted.T * lag_weights[lag][:, None]
 
         def evaluate(times: np.ndarray) -> np.ndarray:
-            times = np.asarray(times, dtype=float) / scale
-            base_cycle = np.floor(times).astype(int)
-            frac = times - base_cycle
-            index = np.clip(base_cycle + pad, 0, rows - 1)
-            result = np.empty(len(times))
-            for start in range(0, len(times), chunk):
-                stop = min(start + chunk, len(times))
-                count = stop - start
-                angle = angle_buf[:count]
-                decay = decay_buf[:count]
-                rows_here = index[start:stop]
-                np.multiply(frac[start:stop, None], angular[None, :],
-                            out=angle)
-                angle += shift_table[rows_here]
-                np.sin(angle, out=angle)
-                angle *= amp_table[rows_here]
-                np.multiply(frac[start:stop, None], neg_theta[None, :],
-                            out=decay)
-                np.exp(decay, out=decay)
-                angle *= decay
-                result[start:stop] = angle.sum(axis=1)
-            return result
+            if isinstance(times, SampleGrid) and times.offsets is not None:
+                data = np.asarray(times)
+                base = np.arange(times.count) * times.step
+                offsets = times.offsets
+            else:
+                data = base = np.asarray(times, dtype=float)
+                offsets = np.zeros(1)
+            grid = base / scale
+            grid_cycle = np.floor(grid)
+            grid_phase = np.exp(np.outer(rates, grid - grid_cycle))
+            carry = np.divide(data.reshape(len(offsets), len(base)), scale)
+            np.floor(carry, out=carry)
+            carry -= grid_cycle
+            base_row = grid_cycle.astype(int) + 1    # past the guard row
+            # Im(P * E) = P.re * E.im + P.im * E.re, contracted over
+            # units; the (2 * units, n) layouts keep einsum's inner loop
+            # contiguous
+            per_rep = np.exp(np.outer(rates, offsets / scale))
+            per_rep = np.concatenate([per_rep.imag, per_rep.real])
+            # one contraction per distinct carry (0 and 1 for sub-cycle
+            # offsets); each sample keeps the one matching its own carry
+            low, high = int(carry.min()), int(carry.max())
+            values = np.empty(carry.shape)
+            for value in range(low, high + 1):
+                shifted = cycle_table * np.exp(-value * rates)[:, None]
+                shared = shifted[:, np.clip(base_row + value, 0,
+                                            rows - 1)] * grid_phase
+                contracted = np.einsum(
+                    "uk,ur->rk", np.concatenate([shared.real, shared.imag]),
+                    per_rep, out=values if value == low else None)
+                if value > low:
+                    np.copyto(values, contracted, where=carry == value)
+            return values.reshape(-1)
 
         return evaluate
 

@@ -24,7 +24,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..signal.modulo import modular_offsets, modulo_average
+from ..signal.modulo import modulo_average, offset_bins
 from .errors import CaptureQualityError
 
 _EPS = 1e-12
@@ -136,10 +136,17 @@ class HealthPolicy:
 
 @dataclass
 class RepetitionScreen:
-    """Result of per-repetition screening of one capture run."""
+    """Result of per-repetition screening of one capture run.
+
+    ``bins`` holds the capture's :func:`~repro.signal.modulo.offset_bins`
+    as a (repetitions, samples) matrix when every repetition has the same
+    length, so the final fold and :func:`assess_capture` reuse them;
+    ``None`` for ragged captures (drop faults).
+    """
 
     keep: np.ndarray                  # boolean mask over delivered reps
     reasons: List[str]                # one line per rejected repetition
+    bins: Optional[np.ndarray] = None
 
     @property
     def rejected(self) -> int:
@@ -173,9 +180,14 @@ def screen_repetitions(times_list, samples_list, period: float,
     # screening stages run as row-wise reductions.  numpy reduces each
     # row of a 2-D array with the same pairwise summation it applies to
     # the equivalent 1-D array, so the stacked statistics are
-    # bit-identical to the per-repetition loop's.
+    # bit-identical to the per-repetition loop's.  The stacked capture's
+    # offset bins are computed once here and shared by the provisional
+    # fold, the residuals, and (through the returned screen) the caller's
+    # final fold and quality assessment.
     lengths = {len(s) for s in samples_list}
     stacked = np.vstack(samples_list) if len(lengths) == 1 else None
+    bins = offset_bins(np.vstack(times_list), period, num_bins) \
+        if stacked is not None else None
 
     # stage A: per-trace amplitude statistics
     if stacked is not None:
@@ -211,14 +223,12 @@ def screen_repetitions(times_list, samples_list, period: float,
             [samples_list[i] for i in range(count) if keep[i]])
         survivor_times = np.concatenate(
             [times_list[i] for i in range(count) if keep[i]])
-        reference, _ = modulo_average(survivor_samples, survivor_times,
-                                      period=period, num_bins=num_bins)
+        reference, _ = modulo_average(
+            survivor_samples, survivor_times, period=period,
+            num_bins=num_bins,
+            bins=bins[keep] if bins is not None else None)
         residuals = np.full(count, np.nan)
         if stacked is not None:
-            times_mat = np.vstack(times_list)
-            offsets = modular_offsets(times_mat, period)
-            bins = np.round(offsets / period * num_bins).astype(int) \
-                % num_bins
             residual = stacked - reference[bins]
             all_residuals = np.sqrt(np.mean(residual ** 2, axis=1))
             residuals[keep] = all_residuals[keep]
@@ -226,10 +236,8 @@ def screen_repetitions(times_list, samples_list, period: float,
             for index in range(count):
                 if not keep[index]:
                     continue
-                offsets = modular_offsets(times_list[index], period)
-                bins = np.round(offsets / period * num_bins).astype(int) \
-                    % num_bins
-                residual = samples_list[index] - reference[bins]
+                residual = samples_list[index] - reference[offset_bins(
+                    times_list[index], period, num_bins)]
                 residuals[index] = float(np.sqrt(np.mean(residual ** 2)))
         median_residual = float(np.nanmedian(residuals))
         if median_residual > _EPS:
@@ -243,7 +251,7 @@ def screen_repetitions(times_list, samples_list, period: float,
                         f"{residuals[index]:.3f} vs median "
                         f"{median_residual:.3f}")
 
-    return RepetitionScreen(keep=keep, reasons=reasons)
+    return RepetitionScreen(keep=keep, reasons=reasons, bins=bins)
 
 
 def assess_capture(samples: np.ndarray, times: np.ndarray, period: float,
@@ -251,12 +259,15 @@ def assess_capture(samples: np.ndarray, times: np.ndarray, period: float,
                    lost_repetitions: int = 0,
                    screened_repetitions: int = 0,
                    total_repetitions: int = 0,
-                   reference: Optional[np.ndarray] = None
+                   reference: Optional[np.ndarray] = None,
+                   bins: Optional[np.ndarray] = None
                    ) -> CaptureQuality:
     """Score one raw repetition stream against its folded reference.
 
     ``reference`` may be passed when the caller already folded the
     capture (avoids folding twice); otherwise it is recomputed here.
+    ``bins`` likewise passes the samples' offset bins (see
+    :func:`~repro.signal.modulo.offset_bins`) when already known.
     """
     samples = np.asarray(samples, dtype=float)
     times = np.asarray(times, dtype=float)
@@ -267,13 +278,14 @@ def assess_capture(samples: np.ndarray, times: np.ndarray, period: float,
                               screened_repetitions=screened_repetitions,
                               total_repetitions=total_repetitions,
                               num_samples=0)
+    if bins is None:
+        bins = offset_bins(times, period, num_bins)
+    bins = np.ravel(bins)
     if reference is None:
         reference, _ = modulo_average(samples, times, period=period,
-                                      num_bins=num_bins)
+                                      num_bins=num_bins, bins=bins)
     # residual of every raw sample against its own offset bin's average:
     # AWGN, bursts, drift, and misalignment all land here
-    offsets = modular_offsets(times, period)
-    bins = np.round(offsets / period * num_bins).astype(int) % num_bins
     residual = samples - reference[bins]
     signal_rms = float(np.sqrt(np.mean(
         (reference - reference.mean()) ** 2)))

@@ -41,6 +41,41 @@ class ScopeConfig:
         return self.samples_per_cycle * (1.0 + self.rate_offset)
 
 
+class SampleGrid(np.ndarray):
+    """Sample times of repetitions that share one uniform sampling grid.
+
+    The data are exactly the concatenated sample times the scope feeds
+    its waveform — repetition ``r`` contributes ``count`` samples at
+    ``offsets[r] + k * step`` — so a grid passes anywhere a plain time
+    array does (``len()`` is the total sample count; ``np.asarray``
+    reads it as a plain array).  ``offsets``, ``step`` and ``count``
+    expose the repetition structure to evaluators that exploit it
+    (:meth:`~repro.hardware.emitter.HardwareEmitter.continuous_fast`).
+    Arrays derived from a grid (slices, arithmetic) drop the structure:
+    their ``offsets`` is ``None``.
+    """
+
+    offsets: Optional[np.ndarray]
+    step: Optional[float]
+    count: Optional[int]
+
+    def __new__(cls, times: np.ndarray, offsets: np.ndarray, step: float,
+                count: int) -> "SampleGrid":
+        """View ``times`` (``len(offsets) * count`` of them, repetition
+        by repetition) as a grid."""
+        grid = np.asarray(times, dtype=float).view(cls)
+        grid.offsets = np.asarray(offsets, dtype=float)
+        grid.step = float(step)
+        grid.count = int(count)
+        return grid
+
+    def __array_finalize__(self, obj: Optional[np.ndarray]) -> None:
+        """Derived arrays carry no grid structure."""
+        self.offsets = None
+        self.step = None
+        self.count = None
+
+
 @dataclass
 class RepetitionStats:
     """Delivery accounting for one repetition capture run."""
@@ -185,14 +220,17 @@ class Oscilloscope:
         per-call overhead once *per repetition*; this path replays the
         exact same RNG stream (trigger gating and corruption draws per
         repetition, in order), concatenates every delivered repetition's
-        sampling grid, evaluates ``y(t)`` **once**, then splits, adds the
-        pre-drawn noise, applies the pre-drawn corruption recipes, and
-        quantizes.  Because the waveform evaluation is elementwise, the
-        returned traces are bit-identical to the sequential loop's.
+        sampling grid into one :class:`SampleGrid`, evaluates ``y(t)``
+        **once**, then splits, adds the pre-drawn noise, applies the
+        pre-drawn corruption recipes, and quantizes.  The grid's data
+        are the sequential loop's sample times, so an elementwise
+        waveform returns bit-identical traces; a structure-aware one
+        (the emitter's closed-form evaluator) shares its per-sample work
+        across the repetitions instead.
         """
         config = self.config
         count = int(duration_cycles * config.effective_rate)
-        plans = []          # (repetition, times, noise, recipe)
+        plans = []          # (repetition, jitter, times, noise, recipe)
         lost = 0
         for repetition in range(repetitions):
             if self.injector is not None:
@@ -206,14 +244,17 @@ class Oscilloscope:
             noise = self.rng.normal(0.0, config.noise_rms, size=count)
             recipe = self.injector.draw_corruption(count) \
                 if self.injector is not None else None
-            plans.append((repetition, times, noise, recipe))
+            plans.append((repetition, jitter, times, noise, recipe))
 
         times_list: list = []
         samples_list: list = []
         if plans:
-            values = continuous(np.concatenate([plan[1] for plan in plans]))
+            values = continuous(SampleGrid(
+                np.concatenate([plan[2] for plan in plans]),
+                offsets=[plan[1] for plan in plans],
+                step=1.0 / config.effective_rate, count=count))
             offset = 0
-            for repetition, times, noise, recipe in plans:
+            for repetition, _, times, noise, recipe in plans:
                 samples = values[offset:offset + count] + noise
                 offset += count
                 if recipe is not None:

@@ -10,7 +10,7 @@ reference waveform that model training runs on.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -21,21 +21,35 @@ def modular_offsets(sample_times: np.ndarray,
     return np.mod(np.asarray(sample_times, dtype=float), period)
 
 
+def offset_bins(sample_times: np.ndarray, period: float,
+                num_bins: int) -> np.ndarray:
+    """Offset-bin index of every sampling time (any shape).
+
+    Nearest-bin assignment keeps each bin's average centered on its grid
+    point (floor would introduce a half-bin phase lag).  Elementwise, so
+    the bins of a stacked capture equal its rows' bins computed apart.
+    """
+    offsets = modular_offsets(sample_times, period)
+    return np.round(offsets / period * num_bins).astype(int) % num_bins
+
+
 def modulo_average(samples: np.ndarray, sample_times: np.ndarray,
-                   period: float, num_bins: int) -> Tuple[np.ndarray,
-                                                          np.ndarray]:
+                   period: float, num_bins: int,
+                   bins: Optional[np.ndarray] = None
+                   ) -> Tuple[np.ndarray, np.ndarray]:
     """Fold samples onto one period and average per offset bin.
 
     Returns ``(reference, counts)``: the averaged waveform on a uniform
     ``num_bins`` grid over one period, and how many raw samples landed in
     each bin.  Bins that received no samples are filled by linear
-    interpolation from their neighbours.
+    interpolation from their neighbours.  ``bins`` passes the samples'
+    :func:`offset_bins` when the caller already has them; the result is
+    the same bit for bit.
     """
     samples = np.asarray(samples, dtype=float)
-    offsets = modular_offsets(sample_times, period)
-    # nearest-bin assignment keeps each bin's average centered on its grid
-    # point (floor would introduce a half-bin phase lag)
-    bins = np.round(offsets / period * num_bins).astype(int) % num_bins
+    if bins is None:
+        bins = offset_bins(sample_times, period, num_bins)
+    bins = np.ravel(bins)
 
     sums = np.bincount(bins, weights=samples, minlength=num_bins)
     counts = np.bincount(bins, minlength=num_bins)

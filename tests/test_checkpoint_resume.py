@@ -14,13 +14,15 @@ import sys
 import numpy as np
 import pytest
 
-from repro.core import measurement_campaign
+import repro.core.batch as batch
+from repro.core import campaign_probe_key, measurement_campaign
 from repro.hardware import HardwareDevice
 from repro.leakage.tvla import collect_tvla_traces, tvla
 from repro.parallel import supervised_map
 from repro.robustness import (CheckpointError, CheckpointJournal,
                               ConfigurationError, JOURNAL_SCHEMA,
                               content_key)
+from repro.signal.kernels import DEFAULT_KERNEL
 from repro.workloads import RandomProgramBuilder
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -186,21 +188,40 @@ class TestSupervisedMapResume:
 class TestCampaignResume:
     def test_resume_bit_identical(self, tmp_path):
         """Interrupt at 50%, resume, compare arrays bit-exactly."""
+        self._check_resume(tmp_path, workers=1)
+
+    def test_batched_resume_bit_identical(self, tmp_path):
+        """The same through the batched engine (closed-form emitter
+        evaluator, shared fold bins) at a fixed worker count."""
+        self._check_resume(tmp_path, workers=2)
+
+    @staticmethod
+    def _check_resume(tmp_path, workers):
         programs = _programs(6)
         clean = measurement_campaign(HardwareDevice(seed=3), programs,
-                                     repetitions=8, workers=1, seed=9)
+                                     repetitions=8, workers=workers, seed=9)
         path = str(tmp_path / "campaign.jsonl")
         full = measurement_campaign(HardwareDevice(seed=3), programs,
-                                    repetitions=8, workers=1, seed=9,
+                                    repetitions=8, workers=workers, seed=9,
                                     checkpoint=path)
         _truncate_journal(path, keep_records=3)  # "interrupted" at 50%
         resumed = measurement_campaign(HardwareDevice(seed=3), programs,
-                                       repetitions=8, workers=1, seed=9,
-                                       checkpoint=path, resume=True)
+                                       repetitions=8, workers=workers,
+                                       seed=9, checkpoint=path, resume=True)
         for a, b, c in zip(clean, full, resumed):
             assert np.array_equal(a.signal, b.signal)
             assert np.array_equal(a.signal, c.signal)
             assert np.array_equal(a.amplitudes, c.amplitudes)
+
+    def test_probe_key_salted_with_evaluator_tag(self, monkeypatch):
+        """Journals from an evaluator with other numerics are recaptured."""
+        device = HardwareDevice(seed=3)
+        program = _programs(1)[0]
+        args = (device, program, 0, 9, 8, DEFAULT_KERNEL, 20, None, True)
+        key = campaign_probe_key(*args)
+        assert campaign_probe_key(*args) == key
+        monkeypatch.setattr(batch, "EVALUATOR_TAG", "lag-factored")
+        assert campaign_probe_key(*args) != key
 
     def test_resume_under_different_config_rejected(self, tmp_path):
         programs = _programs(2)
