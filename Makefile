@@ -58,14 +58,17 @@ bench-quick:
 
 # The end-to-end, layer-attributed benchmark (perfbench/README.md): the
 # end-to-end metrics of all three workloads, then the per-layer
-# breakdown of the reference-capture campaign, 24 s each on input set 0
-# (re-check a claimed gain on the held-out set: --seed 3).
+# breakdowns of the reference-capture campaign and the simulated TVLA
+# run, 24 s each on input set 0 (re-check a claimed gain on the
+# held-out set: --seed 3).
 perfbench:
 	for workload in fig8 campaign tvla-sim; do \
 		python3 perfbench/run.py --workload $$workload --seed 0 \
 			--seconds 24 --trace 0 || exit 1; \
 	done
 	python3 perfbench/run.py --workload campaign --seed 0 --seconds 24 \
+		--trace 1
+	python3 perfbench/run.py --workload tvla-sim --seed 0 --seconds 24 \
 		--trace 1
 
 # The benchmark harness's own tests.

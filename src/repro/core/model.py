@@ -16,13 +16,15 @@ the fitted MISO combination coefficient.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..isa.instructions import Instruction
 from ..uarch.latches import STAGES
-from ..uarch.trace import ActivityTrace
+from ..uarch.trace import DYN_FINAL, DYN_HIT, EM_CLASSES, ActivityTrace
 from .config import EMSimConfig, ModelSwitches
 from .factors import (ActivityFactorModel, AverageActivity,
                       RegressionActivity, UnitActivity)
@@ -84,53 +86,40 @@ class EMSimModel:
             switches: Optional[ModelSwitches] = None) -> np.ndarray:
         """Per-cycle predicted signal amplitudes X[n] for a trace.
 
-        The per-stage arithmetic is vectorized: the Python loop only
-        resolves each cycle's behavioural class (with the A(c, s) lookups
-        memoized per stage), and the Eq. 9 combination runs as one numpy
-        expression per stage.  The operation order matches the original
-        scalar loop element-for-element, so the output is bit-identical
-        — a NOP cycle's zero amplitude contributes ``base + x * 0.0``,
-        which equals ``base`` exactly for finite operands, and stalled
-        cycles are masked to an exact ``0.0`` afterwards.
+        Fully vectorized: per stage, a table of A(c, s) over
+        :data:`~repro.uarch.trace.EM_CLASSES` (zero for ``nop`` and
+        ``stall``) indexed by ``trace.em_codes(stage)`` gives every
+        cycle's amplitude, and Eq. 9 runs as one numpy expression.  A
+        NOP cycle's zero amplitude contributes ``base + x * 0.0``, which
+        equals ``base`` exactly for finite operands, and stalled cycles
+        are masked to an exact ``0.0`` afterwards.  With
+        ``model_stalls`` off (the Fig. 5 ablation) a stalled cycle is
+        charged instead the class its instruction would show at full
+        activity, looked up per instruction and dynamic tag.  The output
+        is bit-identical to the per-cycle reference loop the tests keep.
         """
         switches = switches or self.config.switches
         activity = self._activity_model(switches)
-        cycles = trace.num_cycles
-        prediction = np.full(cycles, self.intercept)
+        prediction = np.full(trace.num_cycles, self.intercept)
+        if not switches.model_stalls:
+            stalled_lookup = _stalled_lookup(trace)
         for stage in STAGES:
             floor = self.floors.get(stage, 0.0)
             beta = self.beta.get(stage, 1.0)
             scale = self.miso.get(stage, 1.0) * beta
             alphas = activity.alpha(trace, stage)
-            amplitudes = np.zeros(cycles)
-            stalled = np.zeros(cycles, dtype=bool)
-            cache: Dict[str, float] = {}
-            occupancy = None
-            for cycle, em_class in enumerate(trace.em_classes(stage)):
-                if em_class == "stall":
-                    if switches.model_stalls:
-                        stalled[cycle] = True
-                        continue
-                    # ablation: pretend the stalled instruction kept
-                    # switching at full activity (the occupancy objects
-                    # materialize only on this rarely-taken path)
-                    if occupancy is None:
-                        occupancy = trace.occupancy[stage]
-                    occ = occupancy[cycle]
-                    em_class = (occ.instr.cls.value if occ.instr is not None
-                                else "nop")
-                    if occ.instr is not None and occ.instr.is_load:
-                        em_class = "load_cache" if occ.dyn == "hit" \
-                            else "load_mem"
-                if em_class == "nop":
-                    continue
-                value = cache.get(em_class)
-                if value is None:
-                    value = self.amplitude(em_class, stage, switches)
-                    cache[em_class] = value
-                amplitudes[cycle] = value
-            contribution = (floor * beta) + (scale * alphas) * amplitudes
-            if stalled.any():
+            table = np.zeros(len(EM_CLASSES))
+            for code, em_class in enumerate(EM_CLASSES):
+                if code != _EM_NOP and code != _EM_STALL:
+                    table[code] = self.amplitude(em_class, stage, switches)
+            codes = trace.em_codes(stage)
+            stalled = codes == _EM_STALL
+            if not switches.model_stalls:
+                instr, dyn = trace.instruction_codes(stage)
+                codes = np.where(stalled, stalled_lookup[instr + 1, dyn],
+                                 codes)
+            contribution = (floor * beta) + (scale * alphas) * table[codes]
+            if switches.model_stalls and stalled.any():
                 contribution[stalled] = 0.0
             prediction += contribution
         return prediction
@@ -160,3 +149,30 @@ class EMSimModel:
                 f"nop_level={self.nop_level:.3f}, "
                 f"alpha_bits_kept={kept:.1%}, "
                 f"miso={{{', '.join(f'{s}: {v:.2f}' for s, v in sorted(self.miso.items()))}}})")
+
+
+_EM_INDEX: Dict[str, int] = {name: code
+                             for code, name in enumerate(EM_CLASSES)}
+_EM_NOP = _EM_INDEX["nop"]
+_EM_STALL = _EM_INDEX["stall"]
+_DYN_COUNT = DYN_FINAL + 1   # DYN_* codes run 0..DYN_FINAL
+
+
+@functools.lru_cache(maxsize=4096)
+def _stalled_row(instr: Instruction) -> Tuple[int, ...]:
+    """EM-class codes a stalled ``instr`` is charged when stalls are not
+    modelled, one per ``DYN_*`` code: its static class at full activity,
+    with a load split by cache outcome (``hit`` or not)."""
+    if instr.is_load:
+        return tuple(_EM_INDEX["load_cache" if dyn == DYN_HIT
+                               else "load_mem"]
+                     for dyn in range(_DYN_COUNT))
+    return (_EM_INDEX[instr.cls.value],) * _DYN_COUNT
+
+
+def _stalled_lookup(trace: ActivityTrace) -> np.ndarray:
+    """(instruction codes + 1, dyn codes) table of :func:`_stalled_row`;
+    row 0, a stall with no instruction, is charged as a NOP."""
+    rows = [(_EM_NOP,) * _DYN_COUNT]
+    rows.extend(_stalled_row(instr) for instr in trace.instruction_table)
+    return np.array(rows, dtype=np.intp)

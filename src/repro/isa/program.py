@@ -65,11 +65,7 @@ class Program:
         without reassembling.
         """
         data = dict(self.data)
-        for offset, word in enumerate(words):
-            word &= 0xFFFFFFFF
-            address = base + 4 * offset
-            for byte_index in range(4):
-                data[address + byte_index] = (word >> (8 * byte_index)) & 0xFF
+        store_words(data, base, words)
         return Program(instructions=list(self.instructions), data=data,
                        symbols=dict(self.symbols), entry=self.entry,
                        name=self.name)

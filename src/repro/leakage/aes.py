@@ -10,14 +10,22 @@ implementation used to verify it.
 The generated program pre-warms the data cache over all tables so that the
 encryption itself has a data-independent cycle count — traces for
 different plaintexts align cycle-for-cycle, as TVLA requires.
+
+Because neither the code nor its control flow depends on the plaintext,
+a TVLA campaign runs one program over many data inputs: the text is
+assembled once per ``(key, rounds, warm_cache)`` and each plaintext is
+poked into the state bytes of a copy of that image.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+import functools
+import numbers
+from typing import List, Sequence, Tuple
 
 from ..isa.assembler import assemble
 from ..isa.program import Program
+from ..robustness.errors import ConfigurationError
 
 # ----------------------------------------------------------------------
 # GF(2^8) arithmetic and the S-box, computed (not hard-coded)
@@ -69,10 +77,28 @@ SBOX: List[int] = [_affine(_gf_inverse(value)) for value in range(256)]
 RCON = [0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36]
 
 
+def _block(values: Sequence[int], what: str) -> Tuple[int, ...]:
+    """``values`` as a tuple of 16 byte ints, or :class:`ConfigurationError`.
+
+    A short block would leave state bytes uninitialised and ``.byte``
+    would silently mask an out-of-range value, so both are rejected.
+    """
+    block = tuple(values)
+    if len(block) != 16 or not all(
+            isinstance(value, numbers.Integral) and 0 <= value <= 255
+            for value in block):
+        raise ConfigurationError(
+            f"AES-128 {what} must be 16 ints in 0..255, got {list(block)}")
+    return tuple(int(value) for value in block)
+
+
 def key_schedule(key: Sequence[int]) -> List[List[int]]:
-    """AES-128 key expansion: 16-byte key -> 11 round keys of 16 bytes."""
-    if len(key) != 16:
-        raise ValueError("AES-128 key must be 16 bytes")
+    """AES-128 key expansion: 16-byte key -> 11 round keys of 16 bytes.
+
+    Raises :class:`~repro.robustness.errors.ConfigurationError` unless
+    ``key`` is exactly 16 ints in 0..255.
+    """
+    key = _block(key, "key")
     words = [list(key[4 * i:4 * i + 4]) for i in range(4)]
     for index in range(4, 44):
         temp = list(words[index - 1])
@@ -95,10 +121,11 @@ def aes128_encrypt_reference(key: Sequence[int],
     """Reference AES-128 encryption (state bytes in column-major order).
 
     ``rounds`` < 10 gives a reduced-round variant (used to shorten test
-    workloads); the final round always skips MixColumns.
+    workloads); the final round always skips MixColumns.  The key and
+    plaintext must each be 16 ints in 0..255
+    (:class:`~repro.robustness.errors.ConfigurationError` otherwise).
     """
-    if len(plaintext) != 16:
-        raise ValueError("plaintext must be 16 bytes")
+    plaintext = _block(plaintext, "plaintext")
     round_keys = key_schedule(key)
     state = [plaintext[i] ^ round_keys[0][i] for i in range(16)]
     for round_index in range(1, rounds + 1):
@@ -226,8 +253,38 @@ def aes_program(key: Sequence[int], plaintext: Sequence[int],
     """Generate the runnable AES-128 encryption program.
 
     The ciphertext lands at :data:`CT_BASE` in data memory.  ``rounds``
-    selects reduced-round variants for shorter workloads.
+    selects reduced-round variants for shorter workloads.  The key and
+    plaintext must each be 16 ints in 0..255
+    (:class:`~repro.robustness.errors.ConfigurationError` otherwise).
+
+    The text is assembled once per ``(key, rounds, warm_cache)`` (a
+    bounded memo); each call returns a new :class:`Program` that shares
+    that image's instructions and stores ``plaintext`` at
+    :data:`STATE_BASE` in its own copy of the data.  The result equals a
+    fresh assembly of the same inputs.
     """
+    state = _block(plaintext, "plaintext")
+    words = [int.from_bytes(bytes(state[offset:offset + 4]), "little")
+             for offset in range(0, 16, 4)]
+    template = _aes_template(_block(key, "key"), rounds, warm_cache)
+    return template.with_data_words(STATE_BASE, words)
+
+
+@functools.lru_cache(maxsize=16)
+def _aes_template(key: Tuple[int, ...], rounds: int,
+                  warm_cache: bool) -> Program:
+    """The assembled program for ``key`` with an all-zero state block.
+
+    Only :func:`aes_program` reads it, and only through
+    :meth:`Program.with_data_words`, so the memoized image is never
+    handed out or mutated.
+    """
+    return _assemble_aes(key, (0,) * 16, rounds, warm_cache)
+
+
+def _assemble_aes(key: Sequence[int], state: Sequence[int], rounds: int,
+                  warm_cache: bool) -> Program:
+    """Assemble the AES text with ``state`` as the initial state bytes."""
     round_keys = key_schedule(key)
     lines: List[str] = [".data", f".org {SBOX_BASE:#x}"]
     lines.append("sbox: .byte " + ", ".join(str(v) for v in SBOX))
@@ -235,7 +292,7 @@ def aes_program(key: Sequence[int], plaintext: Sequence[int],
     flattened = [byte for round_key in round_keys for byte in round_key]
     lines.append("rk: .byte " + ", ".join(str(v) for v in flattened))
     lines.append(f".org {STATE_BASE:#x}")
-    lines.append("state: .byte " + ", ".join(str(v) for v in plaintext))
+    lines.append("state: .byte " + ", ".join(str(v) for v in state))
     lines.append(f".org {CT_BASE:#x}")
     lines.append("ct: .space 16")
 

@@ -31,6 +31,7 @@ Stages never recorded in a cycle default to the pipeline bubble.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -130,6 +131,26 @@ class StageOccupancy:
 
 
 _BUBBLE_OCC = StageOccupancy(OCC_BUBBLE)
+
+_NO_INSTR_ROW: Tuple[int, ...] = (0,) * len(_DYN_NAMES)
+
+
+@functools.lru_cache(maxsize=4096)
+def _em_row(instr: Instruction) -> Tuple[int, ...]:
+    """EM-class codes of ``instr`` in an active stage, one per dyn code.
+
+    Classified with the reference :meth:`StageOccupancy.em_class` logic
+    and keyed by the instruction's value, so every trace of a program,
+    and a trace decoded from the codec (new but equal instructions),
+    reuses one entry per instruction.
+    """
+    # combos the cores never record (e.g. an ALU op tagged "final") fall
+    # outside EM_CLASSES; their slots are never indexed, so any filler
+    # value works
+    return tuple(
+        _EM_INDEX.get(StageOccupancy(OCC_INSTR, instr, None,
+                                     dyn_name).em_class(), 0)
+        for dyn_name in _DYN_NAMES)
 
 
 @dataclass
@@ -375,20 +396,14 @@ class ActivityTrace:
         """(instr codes + 1, dyn codes) EM-class table for active stages.
 
         Row 0 covers "no instruction" (never hit for ``KIND_INSTR``);
-        row ``i + 1`` classifies instruction-table entry ``i`` under
-        each dynamic tag via the reference occupancy logic.
+        row ``i + 1`` is instruction-table entry ``i``'s row from
+        :func:`_em_row`, memoized per instruction value, so a trace of a
+        program seen before builds its table without classifying again.
         """
-        table = self._instr_table
-        lookup = np.zeros((len(table) + 1, len(_DYN_NAMES)),
-                          dtype=np.uint8)
-        for code, instr in enumerate(table):
-            for dyn, dyn_name in enumerate(_DYN_NAMES):
-                occ = StageOccupancy(OCC_INSTR, instr, None, dyn_name)
-                # combos the cores never record (e.g. an ALU op tagged
-                # "final") fall outside EM_CLASSES; their slots are
-                # never indexed, so any filler value works
-                lookup[code + 1, dyn] = _EM_INDEX.get(occ.em_class(), 0)
-        return lookup
+        rows = [_NO_INSTR_ROW]
+        rows.extend(_em_row(instr) for instr in self._instr_table)
+        # repro: allow[N203] EM-class indices are tiny enum codes (< 16)
+        return np.array(rows, dtype=np.uint8)
 
     def _code_column(self, column: str, stage: str) -> np.ndarray:
         """One recorded code column (codec serialization accessor)."""
@@ -490,6 +505,19 @@ class ActivityTrace:
     def em_codes(self, stage: str) -> np.ndarray:
         """(cycles,) EM-class codes (indices into :data:`EM_CLASSES`)."""
         return self._unpacked()["em"][stage]
+
+    @property
+    def instruction_table(self) -> Tuple[Instruction, ...]:
+        """The distinct recorded instructions, indexed by
+        :meth:`instruction_codes`."""
+        return tuple(self._instr_table)
+
+    def instruction_codes(self, stage: str
+                          ) -> Tuple[np.ndarray, np.ndarray]:
+        """(cycles,) :attr:`instruction_table` indices (``-1`` where
+        none) and ``DYN_*`` codes for ``stage``."""
+        codes = self._unpacked()
+        return codes["instr"][stage], codes["dyn"][stage]
 
     def em_classes(self, stage: str) -> List[str]:
         """Per-cycle EM-class labels for ``stage`` (vectorized view of
