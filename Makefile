@@ -35,7 +35,7 @@ docs:
 # Not part of `check` (runs a few minutes): the sequential-vs-batched
 # campaign benchmark (BENCH_sim.json), the model-building fast-path
 # benchmark (BENCH_train.json), the columnar trace-engine benchmark
-# (BENCH_trace.json), the supervised-campaign survival/resume
+# (BENCH_trace.json, baseline arm from tests/oracles/), the supervised-campaign survival/resume
 # benchmark (BENCH_resume.json), the run-record overhead benchmark
 # (BENCH_observability.json), the incremental-lint benchmark
 # (BENCH_lint.json), and the signal-engine benchmark
@@ -58,18 +58,18 @@ bench-quick:
 
 # The end-to-end, layer-attributed benchmark (perfbench/README.md): the
 # end-to-end metrics of all three workloads, then the per-layer
-# breakdowns of the reference-capture campaign and the simulated TVLA
-# run, 24 s each on input set 0 (re-check a claimed gain on the
-# held-out set: --seed 3).
+# breakdowns of all three (Fig. 8 accuracy, the reference-capture
+# campaign and the simulated TVLA run), 24 s each on input set 0
+# (re-check a claimed gain on the held-out set: --seed 3).
 perfbench:
 	for workload in fig8 campaign tvla-sim; do \
 		python3 perfbench/run.py --workload $$workload --seed 0 \
 			--seconds 24 --trace 0 || exit 1; \
 	done
-	python3 perfbench/run.py --workload campaign --seed 0 --seconds 24 \
-		--trace 1
-	python3 perfbench/run.py --workload tvla-sim --seed 0 --seconds 24 \
-		--trace 1
+	for workload in fig8 campaign tvla-sim; do \
+		python3 perfbench/run.py --workload $$workload --seed 0 \
+			--seconds 24 --trace 1 || exit 1; \
+	done
 
 # The benchmark harness's own tests.
 perfbench-test:

@@ -10,29 +10,121 @@ The acceptance claims for the trace engine (docs/architecture.md):
 * a disk-cache hit deserializes at least **2x** faster through
   ``decode_trace`` than through ``pickle.loads``.
 
-The measurement core (``repro.core.tracebench.run_trace_bench``, shared
-with ``repro bench --mode trace``) asserts bit-identity between the two
-recording paths on both cores and codec round-trip byte-stability
-before reporting any ratio, so the speedups cannot come from computing
-something different.  Emits the machine-readable
-``benchmarks/results/BENCH_trace.json`` report (schema
+The in-order baseline arm is the retired step-per-method core of
+``tests/oracles/pipeline.py`` recording through its ``legacy_trace``
+branch; the out-of-order core still ships its own.  Bit-identity between
+the two recording paths on both cores and codec round-trip
+byte-stability are asserted before any ratio is reported, so the
+speedups cannot come from computing something different.  Emits the
+machine-readable ``benchmarks/results/BENCH_trace.json`` report (schema
 ``repro-bench/1``).  ``REPRO_BENCH_QUICK=1`` lowers the repetition
 count so the bench fits the tier-1 time budget (``make bench-quick``)
 and writes ``BENCH_trace.quick.json`` instead, keeping the committed
 full-size artifact intact.
 """
 
+import os
+import pickle
+import sys
+from typing import Any, Dict
+
 import pytest
 
 from conftest import bench_quick, run_once, write_bench_report
-from repro.core.tracebench import run_trace_bench
+from repro.core.signalbench import _paired_best
 from repro.profiling import disable_profiling, enable_profiling
+from repro.uarch import (STAGES, decode_trace, encode_trace, run_program,
+                         run_program_ooo)
+from repro.workloads import ALL_KERNELS
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))))
+from tests.oracles import pipeline as oracle_pipeline  # noqa: E402
+from tests.oracles.traces import assert_traces_identical  # noqa: E402
 
 QUICK = bench_quick()
 REPS = 3 if QUICK else 9
 SIMULATE_FLOOR = 2.0
 SIZE_FLOOR = 3.0
 DECODE_FLOOR = 2.0
+
+
+def run_trace_bench(kernel: str = "crc32",
+                    reps: int = 9) -> Dict[str, Any]:
+    """Run the trace-engine benchmark and return its metrics document.
+
+    ``kernel`` names a :data:`repro.workloads.ALL_KERNELS` workload;
+    ``reps`` is the best-of repetition count for every timed section.
+    """
+    program = ALL_KERNELS[kernel]()
+
+    def run_legacy():
+        return oracle_pipeline.run_program(program, legacy_trace=True)
+
+    # -- correctness gates: identity on both cores, byte-stable codec --
+    legacy_trace, _ = run_legacy()
+    columnar_trace, _ = run_program(program)
+    assert_traces_identical(legacy_trace, columnar_trace)
+    legacy_ooo, _ = run_program_ooo(program, legacy_trace=True)
+    columnar_ooo, _ = run_program_ooo(program)
+    assert_traces_identical(legacy_ooo, columnar_ooo)
+
+    payload = encode_trace(columnar_trace)
+    decoded = decode_trace(payload)
+    assert encode_trace(decoded) == payload
+    assert_traces_identical(legacy_trace, decoded)
+
+    # -- cold simulate: full run_program including trace recording -----
+    legacy_seconds, columnar_seconds = _paired_best(
+        run_legacy, lambda: run_program(program), reps)
+    ooo_legacy_seconds, ooo_columnar_seconds = _paired_best(
+        lambda: run_program_ooo(program, legacy_trace=True),
+        lambda: run_program_ooo(program), reps)
+
+    # -- serialized size: codec bytes vs the legacy trace's pickle -----
+    legacy_pickle = pickle.dumps(legacy_trace,
+                                 protocol=pickle.HIGHEST_PROTOCOL)
+    encoded_bytes = len(payload)
+    pickled_bytes = len(legacy_pickle)
+
+    # -- disk-cache hit latency: deserialization of a cached trace ----
+    unpickle_seconds, decode_seconds = _paired_best(
+        lambda: pickle.loads(legacy_pickle),
+        lambda: decode_trace(payload), reps)
+
+    # -- derived views: vectorized vs per-register transition build ----
+    def derive(trace):
+        trace._transition_cache.clear()
+        for stage in STAGES:
+            trace.transition_matrix(stage)
+
+    derive_legacy_seconds, derive_columnar_seconds = _paired_best(
+        lambda: derive(legacy_trace),
+        lambda: derive(columnar_trace), reps)
+
+    return {
+        "benchmark": "trace_engine",
+        "kernel": kernel,
+        "reps": reps,
+        "cycles": columnar_trace.num_cycles,
+        "cycles_ooo": columnar_ooo.num_cycles,
+        "legacy_simulate_seconds": legacy_seconds,
+        "columnar_simulate_seconds": columnar_seconds,
+        "simulate_speedup": legacy_seconds / columnar_seconds,
+        "legacy_simulate_seconds_ooo": ooo_legacy_seconds,
+        "columnar_simulate_seconds_ooo": ooo_columnar_seconds,
+        "simulate_speedup_ooo": ooo_legacy_seconds / ooo_columnar_seconds,
+        "encoded_bytes": encoded_bytes,
+        "legacy_pickle_bytes": pickled_bytes,
+        "size_ratio": pickled_bytes / encoded_bytes,
+        "decode_seconds": decode_seconds,
+        "unpickle_seconds": unpickle_seconds,
+        "decode_speedup": unpickle_seconds / decode_seconds,
+        "derive_legacy_seconds": derive_legacy_seconds,
+        "derive_columnar_seconds": derive_columnar_seconds,
+        "derive_speedup": derive_legacy_seconds / derive_columnar_seconds,
+        "bit_identical": True,
+    }
 
 
 @pytest.mark.benchmark(group="perf")

@@ -15,8 +15,8 @@ groups; ``savat`` computes simulated SAVAT values for instruction pairs;
 ``bench`` times either a sequential vs batched/parallel measurement
 campaign (``--mode sim``, writes ``BENCH_sim.json``), the scalar vs
 fast model-building path (``--mode train``, writes ``BENCH_train.json``),
-or the columnar activity-trace engine against the legacy recording path
-and pickle (``--mode trace``, writes ``BENCH_trace.json``);
+or the streaming signal-analytics engine against its direct oracles
+(``--mode signal``, writes ``BENCH_signal.json``);
 ``report`` renders a run manifest (written under ``--trace-dir``) into a
 Markdown run report.
 Global flags: ``--profile`` prints a per-phase wall-time table (including
@@ -179,25 +179,20 @@ def _build_parser() -> argparse.ArgumentParser:
     bench = commands.add_parser(
         "bench", help="time sequential vs batched measurement campaigns "
                       "(--mode sim), scalar vs fast model building "
-                      "(--mode train), the columnar trace engine vs "
-                      "the legacy recording path (--mode trace), or the "
-                      "streaming signal-analytics engine vs its direct "
-                      "oracles (--mode signal) and write a BENCH_*.json "
-                      "report")
+                      "(--mode train), or the streaming signal-analytics "
+                      "engine vs its direct oracles (--mode signal) and "
+                      "write a BENCH_*.json report")
     bench.add_argument("--mode", default="sim",
-                       choices=("sim", "train", "trace", "signal"),
+                       choices=("sim", "train", "signal"),
                        help="sim: measurement-campaign fan-out bench; "
                             "train: Trainer.fit fast-path bench; "
-                            "trace: columnar trace engine + codec bench; "
                             "signal: FFT synthesis, banded deconvolution "
                             "and streaming TVLA bench")
     bench.add_argument("--probes", type=int, default=6,
                        help="activity probes per class for --mode train")
-    bench.add_argument("--kernel", default="crc32",
-                       help="workload kernel for --mode trace")
     bench.add_argument("--reps", type=int, default=9,
                        help="best-of repetitions per timed section for "
-                            "--mode trace and --mode signal")
+                            "--mode signal")
     bench.add_argument("--cycles", type=int, default=4096,
                        help="synthesis trace length in cycles for "
                             "--mode signal")
@@ -221,9 +216,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "rate (0 disables)")
     bench.add_argument("--out", default=None,
                        help="write the machine-readable report here "
-                            "(default: BENCH_sim.json, BENCH_train.json, "
-                            "BENCH_trace.json or BENCH_signal.json, "
-                            "by --mode)")
+                            "(default: BENCH_sim.json, BENCH_train.json "
+                            "or BENCH_signal.json, by --mode)")
     _add_supervision_flags(bench)
 
     report = commands.add_parser(
@@ -437,54 +431,6 @@ def _bench_train(args) -> int:
     return 0
 
 
-def _bench_trace(args) -> int:
-    """``bench --mode trace``: columnar trace engine vs the legacy path.
-
-    Times cold simulation (object-graph vs columnar recording on both
-    cores), serialized trace size (legacy pickle vs the
-    ``repro-trace/1`` codec), and cache-hit deserialization latency.
-    Bit-identity between the two recording paths is asserted inside the
-    measurement (see :mod:`repro.core.tracebench`); writes
-    ``BENCH_trace.json``.
-    """
-    from .core.tracebench import run_trace_bench
-    from .workloads import ALL_KERNELS
-
-    out = args.out or "BENCH_trace.json"
-    if args.kernel not in ALL_KERNELS:
-        known = ", ".join(sorted(ALL_KERNELS))
-        raise ConfigurationError(
-            f"unknown --kernel {args.kernel!r} (known: {known})")
-    print(f"bench: trace engine on {args.kernel!r}, best of "
-          f"{args.reps} reps per section")
-
-    profiler = enable_profiling()
-    doc = run_trace_bench(kernel=args.kernel, reps=args.reps)
-
-    print(f"  cold simulate (in-order): legacy "
-          f"{doc['legacy_simulate_seconds'] * 1e3:7.1f} ms, columnar "
-          f"{doc['columnar_simulate_seconds'] * 1e3:7.1f} ms "
-          f"({doc['simulate_speedup']:.2f}x)")
-    print(f"  cold simulate (OoO):      legacy "
-          f"{doc['legacy_simulate_seconds_ooo'] * 1e3:7.1f} ms, columnar "
-          f"{doc['columnar_simulate_seconds_ooo'] * 1e3:7.1f} ms "
-          f"({doc['simulate_speedup_ooo']:.2f}x)")
-    print(f"  serialized trace: pickle {doc['legacy_pickle_bytes']} B, "
-          f"codec {doc['encoded_bytes']} B "
-          f"({doc['size_ratio']:.1f}x smaller)")
-    print(f"  cache-hit deserialize: unpickle "
-          f"{doc['unpickle_seconds'] * 1e3:6.2f} ms, decode "
-          f"{doc['decode_seconds'] * 1e3:6.2f} ms "
-          f"({doc['decode_speedup']:.2f}x)")
-    print(f"  derived views rebuild: {doc['derive_speedup']:.2f}x   "
-          f"bit-identical: {doc['bit_identical']}")
-
-    doc["manifest"] = current_manifest_path()
-    write_bench_json(out, metadata=doc, profiler=profiler)
-    print(f"report written to {out}")
-    return 0
-
-
 def _bench_signal(args) -> int:
     """``bench --mode signal``: the streaming signal-analytics engine.
 
@@ -538,8 +484,6 @@ def _cmd_bench(args) -> int:
 
     if args.mode == "train":
         return _bench_train(args)
-    if args.mode == "trace":
-        return _bench_trace(args)
     if args.mode == "signal":
         return _bench_signal(args)
     workers = resolve_workers(args.workers)

@@ -51,6 +51,28 @@ def stage_design_matrix(trace: ActivityTrace, stage: str) -> np.ndarray:
     return np.hstack([counts, bits])
 
 
+def stage_design_columns(trace: ActivityTrace, stage: str,
+                         columns: np.ndarray) -> np.ndarray:
+    """``stage_design_matrix(trace, stage)[:, columns]``, built alone.
+
+    Only the requested flip-count and raw-bit columns are materialized;
+    the counts come from :meth:`ActivityTrace.register_flip_counts`.
+    The block is Fortran-ordered, the layout the fancy-indexed full
+    design has, so products with it round exactly as they would on
+    ``design[:, columns]``.
+    """
+    registers = len(STAGE_REGISTERS[stage])
+    columns = np.asarray(columns)
+    block = np.empty((trace.num_cycles, columns.size), order="F")
+    is_count = columns < registers
+    if is_count.any():
+        block[:, is_count] = \
+            trace.register_flip_counts(stage)[:, columns[is_count]]
+    block[:, ~is_count] = \
+        trace.transition_matrix(stage)[:, columns[~is_count] - registers]
+    return block
+
+
 def stage_flip_counts(trace: ActivityTrace) -> Dict[str, np.ndarray]:
     """Per-stage (cycles,) flip-count vectors for one trace."""
     return {stage: trace.flip_counts(stage) for stage in STAGES}

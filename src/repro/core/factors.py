@@ -17,7 +17,7 @@ import numpy as np
 
 from ..uarch.latches import STAGES
 from ..uarch.trace import ActivityTrace
-from .activity import average_alpha
+from .activity import average_alpha, stage_design_columns
 from .regression import LinearModel
 
 ALPHA_MIN = 0.0
@@ -76,12 +76,19 @@ class RegressionActivity(ActivityFactorModel):
 
     def alpha(self, trace: ActivityTrace, stage: str) -> np.ndarray:
         """Eq. 8 factors from the stage's fitted transition-bit model
-        (falls back to all-ones for stages without a fit)."""
+        (falls back to all-ones for stages without a fit).
+
+        Only the model's selected features of the stage design are
+        built (:func:`~repro.core.activity.stage_design_columns`), in
+        the Fortran layout of ``design[:, features]``, so the factors
+        equal ``model.predict`` on the full
+        :func:`~repro.core.activity.stage_design_matrix` bit for bit.
+        """
         model = self.models.get(stage)
         if model is None:
             return np.ones(trace.num_cycles)
-        from .activity import stage_design_matrix
-        return _clip(model.predict(stage_design_matrix(trace, stage)))
+        return _clip(model.predict_selected(
+            stage_design_columns(trace, stage, model.features)))
 
     def selected_fraction(self) -> float:
         """Fraction of transition features kept across all stages.

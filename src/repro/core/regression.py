@@ -42,9 +42,15 @@ class LinearModel:
     def predict(self, design: np.ndarray) -> np.ndarray:
         """Predict for a full design matrix (all columns present)."""
         design = np.atleast_2d(np.asarray(design, dtype=float))
+        return self.predict_selected(design[:, self.features])
+
+    def predict_selected(self, block: np.ndarray) -> np.ndarray:
+        """Predict from just the selected columns (``design[:,
+        features]``, in order).  Equal to :meth:`predict` bit for bit
+        when ``block`` has that slice's Fortran layout."""
         if self.features.size == 0:
-            return np.full(design.shape[0], self.intercept)
-        return self.intercept + design[:, self.features] @ self.coefficients
+            return np.full(block.shape[0], self.intercept)
+        return self.intercept + block @ self.coefficients
 
 
 def fit_linear(design: np.ndarray, target: np.ndarray,

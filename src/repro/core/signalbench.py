@@ -24,16 +24,38 @@ computing something different.  Both the CLI bench and
 from __future__ import annotations
 
 import tracemalloc
-from typing import Any, Dict, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 import numpy as np
 
 from ..leakage.streaming import StreamingTTest
 from ..leakage.tvla import welch_t_statistic
+from ..profiling import monotonic
 from ..signal.kernels import DampedSineKernel
 from ..signal.reconstruction import (batch_estimate_cycle_amplitudes,
                                      clear_plan_caches, reconstruct)
-from .tracebench import _paired_best
+
+
+def _paired_best(baseline: Callable[[], Any],
+                 candidate: Callable[[], Any],
+                 reps: int) -> Tuple[float, float]:
+    """Best-of-``reps`` wall times of an interleaved baseline/candidate
+    pair.
+
+    The two arms alternate within every repetition rather than running
+    as separate blocks, so machine-load drift (thermal throttling, a
+    co-scheduled job appearing mid-bench) hits both arms alike instead
+    of skewing whichever block it lands on.
+    """
+    best_baseline = best_candidate = float("inf")
+    for _ in range(reps):
+        start = monotonic()
+        baseline()
+        best_baseline = min(best_baseline, monotonic() - start)
+        start = monotonic()
+        candidate()
+        best_candidate = min(best_candidate, monotonic() - start)
+    return best_baseline, best_candidate
 
 
 def _campaign_trace(seed: int, samples: int, fixed: bool) -> np.ndarray:

@@ -21,7 +21,7 @@ from ..robustness.errors import ConfigurationError
 from ..signal.acquisition import SampleGrid
 from ..signal.kernels import DampedSineKernel
 from ..uarch.latches import STAGES
-from ..uarch.trace import ActivityTrace
+from ..uarch.trace import EM_CLASSES, ActivityTrace
 from .probe import CENTER, ProbePosition, coupling
 from .units import EmUnit
 
@@ -57,6 +57,11 @@ class HardwareEmitter:
         self.clock_scale = clock_scale
         self._couplings = np.array([coupling(unit, probe) * unit.polarity
                                     for unit in self.units])
+        # static activity depends on a cycle only through its EM class:
+        # one row per unit over EM_CLASSES, indexed by trace.em_codes
+        self._static = np.array([[unit.static_activity(em_class)
+                                  for em_class in EM_CLASSES]
+                                 for unit in self.units], dtype=float)
 
     # ------------------------------------------------------------------
     # per-cycle unit amplitudes
@@ -66,15 +71,10 @@ class HardwareEmitter:
         cycles = trace.num_cycles
         transitions = {stage: trace.transition_matrix(stage)
                        for stage in STAGES}
-        # static activity depends on a cycle only through its class label
-        classes = {stage: np.unique(np.array(trace.em_classes(stage)),
-                                    return_inverse=True)
-                   for stage in STAGES}
+        codes = {stage: trace.em_codes(stage) for stage in STAGES}
         amplitudes = np.zeros((cycles, len(self.units)))
         for column, unit in enumerate(self.units):
-            labels, inverse = classes[unit.stage]
-            static = np.array([unit.static_activity(label)
-                               for label in labels], dtype=float)[inverse]
+            static = self._static[column][codes[unit.stage]]
             flips = transitions[unit.stage][:, unit.bit_indices] @ \
                 unit.bit_weights
             amplitudes[:, column] = static + flips

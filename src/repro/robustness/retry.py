@@ -147,8 +147,11 @@ class CaptureSupervisor:
         scope+modulo path (see
         :meth:`~repro.hardware.device.HardwareDevice.capture_reference`).
         """
-        outcome = ProbeOutcome(program=getattr(program, "name", str(program)),
-                               final_method=method,
+        try:
+            name = program.name
+        except AttributeError:  # stringify only nameless programs
+            name = str(program)
+        outcome = ProbeOutcome(program=name, final_method=method,
                                final_repetitions=repetitions)
         reps = repetitions
         last_error: Optional[Exception] = None

@@ -162,9 +162,9 @@ def _mask(stage: str, name: str) -> int:
 
 
 # Flat columns of the registers on the per-cycle fast path.  The
-# specialized ``write_*`` methods below store through these constants
-# positionally — no kwargs dict, no name lookup — because the pipeline
-# hits them once per stage per cycle.
+# specialized ``write_*`` methods below, and the in-order core's fused
+# cycle loop, store through these constants positionally — no kwargs
+# dict, no name lookup — because they run once per stage per cycle.
 _C_PC = _column("F", "pc")
 _C_FETCH_INSTR = _column("F", "fetch_instr")
 _C_PRED_STATE = _column("F", "pred_state")
@@ -176,7 +176,11 @@ _C_DEC_CTRL = _column("D", "dec_ctrl")
 _C_ALU_A = _column("E", "alu_a")
 _C_ALU_B = _column("E", "alu_b")
 _C_ALU_OUT = _column("E", "alu_out")
+_C_MULDIV_LO = _column("E", "muldiv_lo")
+_C_MULDIV_HI = _column("E", "muldiv_hi")
 _C_EX_CTRL = _column("E", "ex_ctrl")
+_C_MEM_ADDR = _column("M", "mem_addr")
+_C_MEM_WDATA = _column("M", "mem_wdata")
 _C_MEM_RDATA = _column("M", "mem_rdata")
 _C_MEM_CTRL = _column("M", "mem_ctrl")
 _C_WB_DATA = _column("W", "wb_data")
@@ -307,9 +311,10 @@ class LegacyHardwareLatches:
 
     Byte-for-byte the pre-columnar implementation — including the
     ``dict(STAGE_REGISTERS[stage])`` rebuild on every :meth:`write` —
-    so the legacy recording path measured by ``repro bench --mode
-    trace`` reproduces the seed's cost profile, and property tests can
-    assert the flat-vector store holds identical values.
+    so the legacy recording path measured by
+    ``benchmarks/test_perf_trace.py`` reproduces the seed's cost
+    profile, and property tests can assert the flat-vector store holds
+    identical values.
     """
 
     def __init__(self) -> None:

@@ -10,59 +10,128 @@ Beyond architectural state, the pipeline maintains the hardware *latch*
 model of :mod:`repro.uarch.latches`: stages that do real work update their
 latches, stalled stages hold them, and flushed stages snap to the NOP bubble
 pattern — producing the per-cycle transition-bit vectors that drive both the
-ground-truth EM emitter and EMSim's regression model.
+ground-truth hardware emitter and EMSim's regression model.
+
+The core is one fused cycle loop (:meth:`Pipeline.run`).  Each cycle
+processes Writeback, Memory, Execute, then either the misprediction
+flush or Decode and Fetch, so every stage sees the slots its older
+neighbours vacated this cycle.  Per-instruction constants (machine word,
+control words, operand shape, ...) come from a memo keyed by the
+instruction's value, and each stage's trace record is one list append
+of the in-flight instruction's packed tag OR a ``PACK_*`` constant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 from typing import Optional, Tuple
 
-from ..isa.instructions import Instruction
-from ..isa.program import Program
+from ..isa.instructions import NOP, Instruction
+from ..isa.program import TEXT_BASE, Program
 from .branch import BranchTargetBuffer, make_predictor
 from .cache import DataCache
 from .config import CoreConfig, DEFAULT_CONFIG
-from .events import (BranchEvent, CacheEvent, FlushEvent, StallCause,
-                     StallEvent)
+from .events import BranchEvent, FlushEvent, StallCause
 from .isa_exec import (alu_result, branch_taken, control_flow_target,
                        load_width, store_width)
-from .latches import (HardwareLatches, LegacyHardwareLatches, STAGES,
+from .latches import (_C_ALU_A, _C_ALU_B, _C_ALU_OUT, _C_DEC_CTRL,
+                      _C_DEC_IMM, _C_DEC_INSTR, _C_EX_CTRL, _C_FETCH_INSTR,
+                      _C_MEM_ADDR, _C_MEM_CTRL, _C_MEM_RDATA, _C_MEM_WDATA,
+                      _C_MULDIV_HI, _C_MULDIV_LO, _C_PC, _C_PRED_STATE,
+                      _C_RS1_VAL, _C_RS2_VAL, _C_WB_CTRL, _C_WB_DATA,
+                      _C_WB_RD, _M_PRED_STATE, NOP_CONTROL, HardwareLatches,
                       control_word)
 from .memory import MainMemory
 from .regfile import RegisterFile
-from .trace import (DYN_FINAL, DYN_HIT, DYN_MISS, KIND_INSTR, KIND_STALL,
-                    ActivityTrace, LegacyActivityTrace, RetiredInstruction)
+from .trace import (PACK_BUBBLE, PACK_FINAL, PACK_HIT, PACK_MISS, PACK_STALL,
+                    ActivityTrace)
 
 MASK32 = 0xFFFFFFFF
 
+# What Execute does with an instruction in its first cycle.
+_ALU, _MEMORY, _BRANCH, _JALR, _MULDIV = range(5)
 
-@dataclass
+
+class _Statics:
+    """Per-instruction constants of the core, shared by equal instructions."""
+
+    __slots__ = ("word", "ctrl8", "ctrl12", "imm", "b_is_reg", "halts",
+                 "is_jal", "is_mul", "sources", "rs1", "rs2", "rd",
+                 "kind", "is_load", "is_store", "width", "signed")
+
+    def __init__(self, instr: Instruction) -> None:
+        name = instr.name
+        self.word = instr.encode()
+        self.ctrl8 = control_word(instr, 8)
+        self.ctrl12 = control_word(instr, 12)
+        self.imm = instr.imm & MASK32
+        self.b_is_reg = instr.fmt.value in ("R", "S", "B")
+        self.halts = name in ("ecall", "ebreak")
+        self.is_jal = name == "jal"
+        self.is_mul = name.startswith("mul")
+        self.sources = instr.unique_sources
+        self.rs1 = instr.rs1
+        self.rs2 = instr.rs2
+        self.rd = instr.destination_register
+        self.is_load = instr.is_load
+        self.is_store = instr.is_store
+        self.width, self.signed = (
+            load_width(name) if instr.is_load else
+            (store_width(name), False) if instr.is_store else (0, False))
+        if instr.is_branch:
+            self.kind = _BRANCH
+        elif name == "jalr":
+            self.kind = _JALR
+        elif instr.is_muldiv:
+            self.kind = _MULDIV
+        elif instr.is_load or instr.is_store:
+            self.kind = _MEMORY
+        else:
+            self.kind = _ALU
+
+
+@functools.lru_cache(maxsize=4096)
+def _statics(instr: Instruction) -> _Statics:
+    """The :class:`_Statics` of ``instr``, memoized by instruction value,
+    so every run of a program (and equal instructions of other programs)
+    derives them once."""
+    return _Statics(instr)
+
+
 class _Uop:
-    """One in-flight dynamic instruction."""
+    """One in-flight dynamic instruction.
 
-    instr: Instruction
-    pc: int
-    seq: int
-    pred_taken: bool = False
-    pred_target: Optional[int] = None
-    rs1_val: int = 0
-    rs2_val: int = 0
-    result: int = 0              # ALU result / load data / link value
-    mem_addr: int = 0
-    store_val: int = 0
-    result_ready: bool = False
-    e_started: bool = False
-    e_remaining: int = 0
-    m_started: bool = False
-    m_remaining: int = 0
-    mem_hit: Optional[bool] = None
-    taken: bool = False
-    target: int = 0
+    ``e_remaining`` / ``m_remaining`` count the extra cycles left in
+    Execute / Memory, ``-1`` until the uop first enters the stage.  For a
+    load or store, ``result`` holds the effective address from Execute
+    until Memory replaces a load's with the loaded data.
+    """
 
-    @property
-    def writes_reg(self) -> Optional[int]:
-        return self.instr.destination_register
+    __slots__ = ("instr", "pc", "seq", "tag", "st", "rd", "pred_taken",
+                 "pred_target", "rs1_val", "rs2_val", "result",
+                 "result_ready", "e_remaining", "m_remaining", "mem_hit")
+
+    def __init__(self, instr: Instruction, pc: int, seq: int, tag: int,
+                 st: _Statics, pred_taken: bool,
+                 pred_target: Optional[int]) -> None:
+        self.instr = instr
+        self.pc = pc
+        self.seq = seq
+        self.tag = tag
+        self.st = st
+        self.rd = st.rd
+        self.pred_taken = pred_taken
+        self.pred_target = pred_target
+        self.rs1_val = 0
+        self.rs2_val = 0
+        self.result = 0
+        self.result_ready = False
+        self.e_remaining = -1
+        self.m_remaining = -1
+        self.mem_hit = False
+
+
+_NOP_WORD = NOP.encode()
 
 
 class Pipeline:
@@ -72,8 +141,7 @@ class Pipeline:
     def __init__(self, program: Program,
                  config: CoreConfig = DEFAULT_CONFIG,
                  alu_bug: Optional[object] = None,
-                 oracle: Optional[object] = None,
-                 legacy_trace: bool = False):
+                 oracle: Optional[object] = None):
         self.program = program
         self.config = config
         self.regfile = RegisterFile()
@@ -83,14 +151,8 @@ class Pipeline:
                                         config.predictor_history_bits,
                                         config.predictor_table_bits)
         self.btb = BranchTargetBuffer(config.btb_entries)
-        # legacy_trace selects the seed's object-graph recorder and
-        # dict-backed latches — the reference oracle / bench baseline
-        if legacy_trace:
-            self.latches = LegacyHardwareLatches()
-            self.trace = LegacyActivityTrace()
-        else:
-            self.latches = HardwareLatches()
-            self.trace = ActivityTrace()
+        self.latches = HardwareLatches()
+        self.trace = ActivityTrace()
         self.alu_bug = alu_bug   # optional callable(instr, a, b) -> result
         self.oracle = oracle     # optional OracleOutcomes (perfect fetch)
 
@@ -107,427 +169,438 @@ class Pipeline:
         self.m_uop: Optional[_Uop] = None
         self.w_uop: Optional[_Uop] = None
 
-    # ------------------------------------------------------------------
-    # public API
-    # ------------------------------------------------------------------
     def run(self, max_cycles: Optional[int] = None) -> ActivityTrace:
-        """Run until the program halts or ``max_cycles`` elapse."""
+        """Run until the program halts or ``max_cycles`` elapse.
+
+        One fused loop, one iteration per clock cycle.  The stage
+        slots, ``pc``, ``cycle`` and the halt flags live in locals and
+        are written back on exit, so a later call continues the run
+        exactly where this one stopped.  Per cycle, each stage appends
+        one packed code to its trace column, the latch vector is copied
+        into the trace's next row, and stalls, cache accesses and
+        retirements are appended as tuples (built into event objects
+        when first read).  The result is bit-identical to the retired
+        step-per-method engine kept in ``tests/oracles/pipeline.py``.
+        """
         limit = max_cycles if max_cycles is not None \
             else self.config.max_cycles
-        while not self.halted and self.cycle < limit:
-            self.step()
-        return self.trace
+        config = self.config
+        trace = self.trace
+        flat = self.latches.flat_values()
+        instructions = self.program.instructions
+        text_bytes = 4 * len(instructions)
+        alu_bug = self.alu_bug
+        oracle = self.oracle
+        forwarding = config.forwarding
+        hit_cycles = config.cache.hit_extra_cycles
+        miss_cycles = hit_cycles + config.cache.miss_extra_cycles
+        mul_latency = config.mul_latency
+        div_latency = config.div_latency
 
-    @property
-    def pipeline_empty(self) -> bool:
-        """True when no in-flight instruction remains."""
-        return not any((self.f_uop, self.d_uop, self.e_uop, self.m_uop,
-                        self.w_uop))
+        read_register = self.regfile.read
+        write_register = self.regfile.write
+        cache_access = self.cache.access
+        memory_load = self.memory.load
+        memory_store = self.memory.store
+        predictor = self.predictor
+        predict = predictor.predict
+        predictor_update = predictor.update
+        signature = predictor.state_signature
+        btb_lookup = self.btb.lookup
+        btb_update = self.btb.update
+        oracle_pop = oracle.pop if oracle is not None else None
+        tag_of = trace.tag
+        put_f, put_d, put_e, put_m, put_w = trace.code_appenders()
+        stall_rows, cache_rows, retired_rows = trace.event_rows()
+        stall, cache_event, retire = (stall_rows.append, cache_rows.append,
+                                      retired_rows.append)
+        branch_event = trace.branch_events.append
+        flush_event = trace.flushes.append
+        raw_hazard = StallCause.RAW_HAZARD
+        load_use = StallCause.LOAD_USE
+        ex_busy = StallCause.EX_BUSY
+        mem_busy = StallCause.MEM_BUSY
+        cache_miss = StallCause.CACHE_MISS
 
-    # ------------------------------------------------------------------
-    # one clock cycle
-    # ------------------------------------------------------------------
-    def step(self) -> None:
-        """Advance the core by one clock cycle.
+        row = trace.num_cycles
+        vals = trace.reserve(row)
+        capacity = vals.shape[0]
+        f, d, e, m, w = (self.f_uop, self.d_uop, self.e_uop, self.m_uop,
+                         self.w_uop)
+        pc = self.pc
+        cycle = self.cycle
+        seq = self.next_seq
+        fetch_halted = self.fetch_halted
+        halted = self.halted
 
-        Stages record occupancy straight into the trace (unrecorded
-        stages default to bubbles); the cycle ends with one latch
-        snapshot via ``end_cycle``.
-        """
-        # clock-edge handoff: the instruction fetched last cycle enters
-        # Decode if the slot was vacated
-        if self.d_uop is None and self.f_uop is not None:
-            self.d_uop = self.f_uop
-            self.f_uop = None
+        while not halted and cycle < limit:
+            # clock-edge handoff: the instruction fetched last cycle
+            # enters Decode if the slot was vacated
+            if d is None and f is not None:
+                d = f
+                f = None
 
-        self.trace.begin_cycle()
-        self._stage_writeback()
-        mem_free = self._stage_memory()
-        exec_free, flush_redirect = self._stage_execute(mem_free)
-
-        if flush_redirect is not None:
-            self._flush_wrong_path(flush_redirect)
-        else:
-            decode_redirect = self._stage_decode(exec_free)
-            self._stage_fetch(decode_redirect)
-
-        self.trace.end_cycle(self.latches)
-        self.cycle += 1
-        if self.fetch_halted and self.pipeline_empty:
-            self.halted = True
-
-    def _flush_wrong_path(self, flush_redirect: int) -> None:
-        """Squash the two younger wrong-path instructions — the one in
-        Decode and this cycle's (suppressed) fetch: the paper's 2-cycle
-        misprediction penalty.  The squashed stages stay bubbles in the
-        trace and their latches snap to the bubble pattern."""
-        flushed = 1 + int(self.d_uop is not None) + \
-            int(self.f_uop is not None)
-        self.d_uop = None
-        self.f_uop = None
-        self.latches.write_bubble("D")
-        self.latches.write_bubble("F")
-        self.pc = flush_redirect
-        self.fetch_halted = False  # wrong path may have run off the end
-        self.trace.flushes.append(FlushEvent(cycle=self.cycle,
-                                             flushed=flushed,
-                                             redirect_pc=flush_redirect))
-
-    # ------------------------------------------------------------------
-    # Writeback
-    # ------------------------------------------------------------------
-    def _stage_writeback(self) -> None:
-        uop = self.w_uop
-        if uop is None:
-            self.latches.write_bubble("W")
-            return
-        rd = uop.writes_reg
-        if rd is not None:
-            self.regfile.write(rd, uop.result)
-        self.latches.write_writeback(uop.result if rd is not None else 0,
-                                     rd or 0, 1 if rd is not None else 0)
-        self.trace.record("W", KIND_INSTR, uop.instr, uop.seq)
-        self.trace.retired.append(RetiredInstruction(
-            seq=uop.seq, pc=uop.pc, instr=uop.instr, cycle=self.cycle))
-        if uop.instr.name in ("ecall", "ebreak"):
-            self.fetch_halted = True
-        self.w_uop = None
-
-    # ------------------------------------------------------------------
-    # Memory
-    # ------------------------------------------------------------------
-    def _stage_memory(self) -> bool:
-        """Process the Memory stage; returns True if the slot is free for
-        the Execute stage to advance into."""
-        uop = self.m_uop
-        if uop is None:
-            self.latches.write_bubble("M")
-            return True
-        instr = uop.instr
-        if not uop.m_started:
-            uop.m_started = True
-            if instr.is_load or instr.is_store:
-                self._memory_access(uop)
+            # -- Writeback --------------------------------------------
+            if w is None:
+                flat[_C_WB_DATA] = 0
+                flat[_C_WB_RD] = 0
+                flat[_C_WB_CTRL] = 0
+                put_w(PACK_BUBBLE)
             else:
-                self.latches.write_mem_ctrl(control_word(instr, 8))
-                self.trace.record("M", KIND_INSTR, instr, uop.seq)
-                uop.m_remaining = 0
-        else:
-            uop.m_remaining -= 1
-            cause = StallCause.CACHE_MISS if uop.mem_hit is False \
-                else StallCause.MEM_BUSY
-            self.trace.record("M", KIND_STALL, instr, uop.seq,
-                              DYN_MISS if uop.mem_hit is False else DYN_HIT)
-            self.trace.stalls.append(StallEvent(cycle=self.cycle, stage="M",
-                                                cause=cause, seq=uop.seq))
-            if uop.m_remaining == 0 and instr.is_load:
-                # data-return flip on the read-data bus
-                self.latches.write_mem_rdata(uop.result)
-                uop.result_ready = True
-        if uop.m_remaining == 0:
-            self.m_uop = None
-            self.w_uop = uop
-            return True
-        return False
+                rd = w.rd
+                if rd is None:
+                    flat[_C_WB_DATA] = 0
+                    flat[_C_WB_RD] = 0
+                    flat[_C_WB_CTRL] = 0
+                else:
+                    write_register(rd, w.result)
+                    flat[_C_WB_DATA] = w.result & MASK32
+                    flat[_C_WB_RD] = rd
+                    flat[_C_WB_CTRL] = 1
+                put_w(w.tag)
+                retire((w.seq, w.pc, w.instr, cycle))
+                if w.st.halts:
+                    fetch_halted = True
+                w = None
 
-    def _memory_access(self, uop: _Uop) -> None:
-        """First Memory cycle of a load/store: cache access + data move."""
-        instr = uop.instr
-        address = uop.mem_addr
-        hit = self.cache.access(address, is_store=instr.is_store)
-        uop.mem_hit = hit
-        cache_cfg = self.config.cache
-        uop.m_remaining = cache_cfg.hit_extra_cycles + \
-            (0 if hit else cache_cfg.miss_extra_cycles)
-        self.trace.cache_events.append(CacheEvent(
-            cycle=self.cycle, address=address, is_store=instr.is_store,
-            hit=hit, seq=uop.seq))
-        if instr.is_store:
-            self.memory.store(address, uop.store_val,
-                              store_width(instr.name))
-            self.latches.write("M", mem_addr=address,
-                               mem_wdata=uop.store_val,
-                               mem_ctrl=control_word(instr, 8))
-        else:
-            nbytes, signed = load_width(instr.name)
-            uop.result = self.memory.load(address, nbytes, signed)
-            self.latches.write("M", mem_addr=address,
-                               mem_ctrl=control_word(instr, 8))
-            if uop.m_remaining == 0:
-                self.latches.write_mem_rdata(uop.result)
-                uop.result_ready = True
-        self.trace.record("M", KIND_INSTR, instr, uop.seq,
-                          DYN_HIT if hit else DYN_MISS)
-
-    # ------------------------------------------------------------------
-    # Execute
-    # ------------------------------------------------------------------
-    def _stage_execute(self, mem_free: bool) -> Tuple[bool, Optional[int]]:
-        """Process Execute; returns (slot free for Decode, flush redirect)."""
-        uop = self.e_uop
-        if uop is None:
-            self.latches.write_bubble("E")
-            return True, None
-        instr = uop.instr
-
-        if not uop.e_started:
-            uop.e_started = True
-            redirect = self._execute_first_cycle(uop)
-            if uop.e_remaining == 0 and mem_free:
-                self.e_uop = None
-                self.m_uop = uop
-                return True, redirect
-            if uop.e_remaining == 0 and not mem_free:
-                return False, redirect
-            return False, redirect
-
-        if not mem_free and uop.e_remaining == 0:
-            # finished, waiting for the Memory stage to drain
-            self.trace.record("E", KIND_STALL, instr, uop.seq)
-            self.trace.stalls.append(StallEvent(
-                cycle=self.cycle, stage="E", cause=StallCause.MEM_BUSY,
-                seq=uop.seq))
-            return False, None
-        if uop.e_remaining == 0:
-            # previously finished, was waiting on Memory; transits quietly
-            self.trace.record("E", KIND_STALL, instr, uop.seq)
-        if uop.e_remaining > 0:
-            uop.e_remaining -= 1
-            if uop.e_remaining == 0:
-                # final multiply/divide cycle: result registers switch
-                self.latches.write("E", alu_out=uop.result,
-                                   muldiv_lo=uop.result,
-                                   muldiv_hi=(uop.rs1_val * uop.rs2_val)
-                                   >> 32)
-                uop.result_ready = True
-                self.trace.record("E", KIND_INSTR, instr, uop.seq,
-                                  DYN_FINAL)
+            # -- Memory -----------------------------------------------
+            if m is None:
+                flat[_C_MEM_ADDR] = 0
+                flat[_C_MEM_WDATA] = 0
+                flat[_C_MEM_CTRL] = 0
+                put_m(PACK_BUBBLE)
+                mem_free = True
             else:
-                self.trace.record("E", KIND_STALL, instr, uop.seq)
-                self.trace.stalls.append(StallEvent(
-                    cycle=self.cycle, stage="E", cause=StallCause.EX_BUSY,
-                    seq=uop.seq))
-        if uop.e_remaining == 0 and mem_free:
-            self.e_uop = None
-            self.m_uop = uop
-            return True, None
-        return False, None
+                st = m.st
+                remaining = m.m_remaining
+                if remaining < 0:
+                    if st.kind == _MEMORY:
+                        # first Memory cycle: cache access + data move
+                        address = m.result
+                        is_store = st.is_store
+                        hit = cache_access(address, is_store)
+                        m.mem_hit = hit
+                        remaining = hit_cycles if hit else miss_cycles
+                        cache_event((cycle, address, is_store, hit, m.seq))
+                        flat[_C_MEM_ADDR] = address & MASK32
+                        flat[_C_MEM_CTRL] = st.ctrl8
+                        if is_store:
+                            memory_store(address, m.rs2_val, st.width)
+                            flat[_C_MEM_WDATA] = m.rs2_val & MASK32
+                        else:
+                            m.result = memory_load(address, st.width,
+                                                   st.signed)
+                            if remaining == 0:
+                                flat[_C_MEM_RDATA] = m.result & MASK32
+                                m.result_ready = True
+                        put_m(m.tag | (PACK_HIT if hit else PACK_MISS))
+                    else:
+                        flat[_C_MEM_CTRL] = st.ctrl8
+                        put_m(m.tag)
+                        remaining = 0
+                else:
+                    remaining -= 1
+                    if m.mem_hit:
+                        put_m(m.tag | PACK_STALL | PACK_HIT)
+                        stall((cycle, "M", mem_busy, m.seq))
+                    else:
+                        put_m(m.tag | PACK_STALL | PACK_MISS)
+                        stall((cycle, "M", cache_miss, m.seq))
+                    if remaining == 0 and st.is_load:
+                        # data-return flip on the read-data bus
+                        flat[_C_MEM_RDATA] = m.result & MASK32
+                        m.result_ready = True
+                m.m_remaining = remaining
+                if remaining == 0:
+                    w = m
+                    m = None
+                    mem_free = True
+                else:
+                    mem_free = False
 
-    def _execute_first_cycle(self, uop: _Uop) -> Optional[int]:
-        """First Execute cycle: compute, resolve control flow."""
-        instr = uop.instr
-        a, b = uop.rs1_val, uop.rs2_val
-        operand_b = b if instr.fmt.value in ("R", "S", "B") else \
-            (instr.imm & MASK32)
-        self.latches.write_execute(a, operand_b, control_word(instr, 8))
-        self.trace.record("E", KIND_INSTR, instr, uop.seq)
-        redirect: Optional[int] = None
-
-        if instr.is_branch:
-            uop.taken = branch_taken(instr, a, b)
-            uop.target = control_flow_target(instr, uop.pc, a)
-            uop.result_ready = True
-            self.latches.write_alu_out(uop.target if uop.taken else 0)
-            redirect = self._resolve_control(uop)
-        elif instr.name == "jalr":
-            uop.taken = True
-            uop.target = control_flow_target(instr, uop.pc, a)
-            uop.result = (uop.pc + 4) & MASK32
-            uop.result_ready = True
-            self.latches.write_alu_out(uop.result)
-            redirect = self._resolve_control(uop)
-        elif instr.is_muldiv:
-            uop.result = self._alu(instr, a, b, uop.pc)
-            latency = self.config.mul_latency if instr.name.startswith("mul") \
-                else self.config.div_latency
-            uop.e_remaining = latency - 1
-            if uop.e_remaining == 0:
-                self.latches.write("E", alu_out=uop.result,
-                                   muldiv_lo=uop.result)
-                uop.result_ready = True
-        else:
-            uop.result = self._alu(instr, a, b, uop.pc)
-            self.latches.write_alu_out(uop.result)
-            if instr.is_load or instr.is_store:
-                # the "result" so far is only the effective address; load
-                # data becomes forwardable when Memory returns it
-                uop.mem_addr = uop.result
-                uop.store_val = b
+            # -- Execute ----------------------------------------------
+            redirect = None
+            if e is None:
+                flat[_C_ALU_A] = 0
+                flat[_C_ALU_B] = 0
+                flat[_C_ALU_OUT] = 0
+                flat[_C_EX_CTRL] = 0
+                put_e(PACK_BUBBLE)
+                exec_free = True
             else:
-                uop.result_ready = True
-        return redirect
+                remaining = e.e_remaining
+                if remaining < 0:
+                    # first Execute cycle: compute, resolve control flow
+                    st = e.st
+                    instr = e.instr
+                    a = e.rs1_val
+                    b = e.rs2_val
+                    flat[_C_ALU_A] = a & MASK32
+                    flat[_C_ALU_B] = (b if st.b_is_reg else st.imm) & MASK32
+                    flat[_C_EX_CTRL] = st.ctrl8
+                    put_e(e.tag)
+                    kind = st.kind
+                    remaining = 0
+                    if kind == _BRANCH or kind == _JALR:
+                        upc = e.pc
+                        if kind == _BRANCH:
+                            taken = branch_taken(instr, a, b)
+                            target = control_flow_target(instr, upc, a)
+                            flat[_C_ALU_OUT] = \
+                                (target if taken else 0) & MASK32
+                        else:
+                            taken = True
+                            target = control_flow_target(instr, upc, a)
+                            e.result = (upc + 4) & MASK32
+                            flat[_C_ALU_OUT] = e.result
+                        e.result_ready = True
+                        fallthrough = (upc + 4) & MASK32
+                        actual = target if taken else fallthrough
+                        pred_taken = e.pred_taken
+                        predicted = e.pred_target if pred_taken \
+                            else fallthrough
+                        mispredicted = (taken != pred_taken) or \
+                            (taken and predicted != actual)
+                        if kind == _BRANCH:
+                            predictor_update(upc, taken)
+                        if taken:
+                            btb_update(upc, target)
+                        branch_event(BranchEvent(
+                            cycle=cycle, pc=upc, taken=taken,
+                            target=actual, predicted_taken=pred_taken,
+                            predicted_target=e.pred_target,
+                            mispredicted=mispredicted, seq=e.seq))
+                        if mispredicted:
+                            redirect = actual
+                    else:
+                        result = None
+                        if alu_bug is not None:
+                            result = alu_bug(instr, a, b)
+                        result = alu_result(instr, a, b, e.pc) \
+                            if result is None else result & MASK32
+                        e.result = result
+                        if kind == _MULDIV:
+                            remaining = (mul_latency if st.is_mul
+                                         else div_latency) - 1
+                            if remaining == 0:
+                                flat[_C_ALU_OUT] = result & MASK32
+                                flat[_C_MULDIV_LO] = result & MASK32
+                                e.result_ready = True
+                        else:
+                            flat[_C_ALU_OUT] = result & MASK32
+                            # a load/store's result so far is only the
+                            # effective address; load data becomes
+                            # forwardable when Memory returns it
+                            if kind != _MEMORY:
+                                e.result_ready = True
+                    e.e_remaining = remaining
+                    exec_free = remaining == 0 and mem_free
+                elif remaining == 0:
+                    # finished earlier, waiting for Memory to drain
+                    put_e(e.tag | PACK_STALL)
+                    if not mem_free:
+                        stall((cycle, "E", mem_busy, e.seq))
+                    exec_free = mem_free
+                else:
+                    remaining -= 1
+                    e.e_remaining = remaining
+                    if remaining == 0:
+                        # final multiply/divide cycle: result registers
+                        # switch
+                        result = e.result
+                        flat[_C_ALU_OUT] = result & MASK32
+                        flat[_C_MULDIV_LO] = result & MASK32
+                        flat[_C_MULDIV_HI] = \
+                            ((e.rs1_val * e.rs2_val) >> 32) & MASK32
+                        e.result_ready = True
+                        put_e(e.tag | PACK_FINAL)
+                        exec_free = mem_free
+                    else:
+                        put_e(e.tag | PACK_STALL)
+                        stall((cycle, "E", ex_busy, e.seq))
+                        exec_free = False
+                if exec_free:
+                    m = e
+                    e = None
 
-    def _alu(self, instr: Instruction, a: int, b: int, pc: int) -> int:
-        """ALU computation, optionally routed through an injected bug."""
-        if self.alu_bug is not None:
-            bugged = self.alu_bug(instr, a, b)
-            if bugged is not None:
-                return bugged & MASK32
-        return alu_result(instr, a, b, pc)
+            if redirect is not None:
+                # squash the two younger wrong-path instructions — the
+                # one in Decode and this cycle's (suppressed) fetch: the
+                # paper's 2-cycle misprediction penalty
+                flush_event(FlushEvent(
+                    cycle=cycle,
+                    flushed=1 + (d is not None) + (f is not None),
+                    redirect_pc=redirect))
+                d = None
+                f = None
+                flat[_C_DEC_INSTR] = _NOP_WORD
+                flat[_C_RS1_VAL] = 0
+                flat[_C_RS2_VAL] = 0
+                flat[_C_DEC_IMM] = 0
+                flat[_C_DEC_CTRL] = NOP_CONTROL
+                flat[_C_FETCH_INSTR] = _NOP_WORD
+                flat[_C_PRED_STATE] = 0
+                put_d(PACK_BUBBLE)
+                put_f(PACK_BUBBLE)
+                pc = redirect
+                fetch_halted = False  # wrong path may have run off the end
+            else:
+                # -- Decode -------------------------------------------
+                if d is None:
+                    flat[_C_DEC_INSTR] = _NOP_WORD
+                    flat[_C_RS1_VAL] = 0
+                    flat[_C_RS2_VAL] = 0
+                    flat[_C_DEC_IMM] = 0
+                    flat[_C_DEC_CTRL] = NOP_CONTROL
+                    put_d(PACK_BUBBLE)
+                elif not exec_free:
+                    put_d(d.tag | PACK_STALL)
+                    stall((cycle, "D",
+                           ex_busy if e is not None and e.e_remaining > 0
+                           else mem_busy, d.seq))
+                else:
+                    st = d.st
+                    rs1 = st.rs1
+                    rs2 = st.rs2
+                    rs1_val = rs2_val = 0
+                    cause = None
+                    # each source: the youngest in-flight producer
+                    # (Execute, Memory, Writeback), else the register file
+                    for reg in st.sources:
+                        if reg == 0:
+                            value = 0
+                        else:
+                            if e is not None and e.rd == reg:
+                                holder = e
+                            elif m is not None and m.rd == reg:
+                                holder = m
+                            elif w is not None and w.rd == reg:
+                                holder = w
+                            else:
+                                holder = None
+                            if holder is None:
+                                value = read_register(reg)
+                            elif not forwarding:
+                                cause = raw_hazard
+                                break
+                            elif holder.result_ready:
+                                value = holder.result
+                            else:
+                                cause = load_use if holder.st.is_load \
+                                    else raw_hazard
+                                break
+                        if reg == rs1:
+                            rs1_val = value
+                        if reg == rs2:
+                            rs2_val = value
+                    if cause is not None:
+                        put_d(d.tag | PACK_STALL)
+                        stall((cycle, "D", cause, d.seq))
+                    else:
+                        d.rs1_val = rs1_val
+                        d.rs2_val = rs2_val
+                        flat[_C_DEC_INSTR] = st.word
+                        flat[_C_RS1_VAL] = rs1_val & MASK32
+                        flat[_C_RS2_VAL] = rs2_val & MASK32
+                        flat[_C_DEC_IMM] = st.imm
+                        flat[_C_DEC_CTRL] = st.ctrl12
+                        put_d(d.tag)
+                        e = d
+                        d = None
+                        if st.is_jal:
+                            upc = e.pc
+                            target = (upc + e.instr.imm) & MASK32
+                            e.result = (upc + 4) & MASK32
+                            e.result_ready = True
+                            btb_update(upc, target)
+                            if not (e.pred_taken and
+                                    e.pred_target == target):
+                                # redirect fetch, squash 1 instruction
+                                redirect = target
 
-    def _resolve_control(self, uop: _Uop) -> Optional[int]:
-        """Resolve a branch/jalr in Execute; returns a redirect PC if the
-        fetch prediction was wrong (triggering a flush)."""
-        instr = uop.instr
-        actual_target = uop.target if uop.taken else (uop.pc + 4) & MASK32
-        predicted_target = uop.pred_target if uop.pred_taken \
-            else (uop.pc + 4) & MASK32
-        mispredicted = (uop.taken != uop.pred_taken) or \
-            (uop.taken and predicted_target != actual_target)
-        if instr.is_branch:
-            self.predictor.update(uop.pc, uop.taken)
-        if uop.taken:
-            self.btb.update(uop.pc, uop.target)
-        self.trace.branch_events.append(BranchEvent(
-            cycle=self.cycle, pc=uop.pc, taken=uop.taken,
-            target=actual_target, predicted_taken=uop.pred_taken,
-            predicted_target=uop.pred_target, mispredicted=mispredicted,
-            seq=uop.seq))
-        return actual_target if mispredicted else None
+                # -- Fetch --------------------------------------------
+                if redirect is not None:
+                    # jal resolved in Decode: squash the one wrong-path
+                    # fetch
+                    f = None
+                    flat[_C_FETCH_INSTR] = _NOP_WORD
+                    flat[_C_PRED_STATE] = 0
+                    put_f(PACK_BUBBLE)
+                    pc = redirect
+                    fetch_halted = False  # squashed fetch may have halted
+                elif f is not None:
+                    # Decode is still occupied: the fetched instruction
+                    # waits
+                    put_f(f.tag | PACK_STALL)
+                    stall((cycle, "F", raw_hazard, f.seq))
+                else:
+                    offset = pc - TEXT_BASE
+                    if fetch_halted or not 0 <= offset < text_bytes or \
+                            offset & 3:
+                        fetch_halted = True
+                        flat[_C_FETCH_INSTR] = _NOP_WORD
+                        flat[_C_PRED_STATE] = 0
+                        put_f(PACK_BUBBLE)
+                    else:
+                        instr = instructions[offset >> 2]
+                        st = _statics(instr)
+                        pred_taken = False
+                        pred_target = None
+                        if st.kind == _BRANCH or instr.is_jump:
+                            # fetch-time prediction via predictor + BTB
+                            outcome = oracle_pop(pc) \
+                                if oracle_pop is not None else None
+                            if outcome is not None:
+                                pred_taken, pred_target = outcome
+                            else:
+                                pred_target = btb_lookup(pc)
+                                if st.kind == _BRANCH:
+                                    pred_taken = predict(pc) and \
+                                        pred_target is not None
+                                else:
+                                    pred_taken = pred_target is not None
+                        f = _Uop(instr, pc, seq, tag_of(instr, seq), st,
+                                 pred_taken, pred_target)
+                        seq += 1
+                        flat[_C_PC] = pc & MASK32
+                        flat[_C_FETCH_INSTR] = st.word
+                        flat[_C_PRED_STATE] = (int(pred_taken) |
+                                               (signature() << 1)) & \
+                            _M_PRED_STATE
+                        put_f(f.tag)
+                        pc = pred_target if (pred_taken and
+                                             pred_target is not None) \
+                            else (pc + 4) & MASK32
+                        if st.halts:
+                            fetch_halted = True
 
-    # ------------------------------------------------------------------
-    # Decode
-    # ------------------------------------------------------------------
-    def _stage_decode(self, exec_free: bool) -> Optional[int]:
-        """Process Decode; returns a fetch redirect PC for unpredicted
-        direct jumps (jal), else None."""
-        uop = self.d_uop
-        if uop is None:
-            self.latches.write_bubble("D")
-            return None
-        instr = uop.instr
+            if row == capacity:
+                vals = trace.reserve(row)
+                capacity = vals.shape[0]
+            vals[row] = flat
+            row += 1
+            cycle += 1
+            if fetch_halted and f is None and d is None and e is None \
+                    and m is None and w is None:
+                halted = True
 
-        if not exec_free:
-            cause = StallCause.EX_BUSY if (self.e_uop and
-                                           self.e_uop.e_remaining > 0) \
-                else StallCause.MEM_BUSY
-            self.trace.record("D", KIND_STALL, instr, uop.seq)
-            self.trace.stalls.append(StallEvent(
-                cycle=self.cycle, stage="D", cause=cause, seq=uop.seq))
-            return None
-
-        operands = {}
-        for reg in instr.unique_sources:
-            value, ready, cause = self._operand(reg)
-            if not ready:
-                self.trace.record("D", KIND_STALL, instr, uop.seq)
-                self.trace.stalls.append(StallEvent(
-                    cycle=self.cycle, stage="D", cause=cause, seq=uop.seq))
-                return None
-            operands[reg] = value
-        uop.rs1_val = operands.get(instr.rs1, 0)
-        uop.rs2_val = operands.get(instr.rs2, 0)
-
-        self.latches.write_decode(instr.encode(), uop.rs1_val,
-                                  uop.rs2_val, instr.imm & MASK32,
-                                  control_word(instr, 12))
-        self.trace.record("D", KIND_INSTR, instr, uop.seq)
-        self.d_uop = None
-        self.e_uop = uop
-
-        if instr.name == "jal":
-            uop.taken = True
-            uop.target = (uop.pc + instr.imm) & MASK32
-            uop.result = (uop.pc + 4) & MASK32
-            uop.result_ready = True
-            self.btb.update(uop.pc, uop.target)
-            if not (uop.pred_taken and uop.pred_target == uop.target):
-                return uop.target  # redirect fetch, squash 1 instruction
-        return None
-
-    def _operand(self, reg: int):
-        """Resolve a source register: value, readiness, stall cause.
-
-        Scans in-flight producers youngest-first (Execute, Memory,
-        Writeback slots); falls back to the register file.
-        """
-        if reg == 0:
-            return 0, True, None
-        for slot, holder in (("E", self.e_uop), ("M", self.m_uop),
-                             ("W", self.w_uop)):
-            if holder is None or holder.writes_reg != reg:
-                continue
-            if not self.config.forwarding:
-                return 0, False, StallCause.RAW_HAZARD
-            if holder.result_ready:
-                return holder.result, True, None
-            cause = StallCause.LOAD_USE if holder.instr.is_load \
-                else StallCause.RAW_HAZARD
-            return 0, False, cause
-        return self.regfile.read(reg), True, None
-
-    # ------------------------------------------------------------------
-    # Fetch
-    # ------------------------------------------------------------------
-    def _stage_fetch(self, decode_redirect: Optional[int]) -> None:
-        if decode_redirect is not None:
-            # jal resolved in Decode: squash the one wrong-path fetch
-            self.f_uop = None
-            self.latches.write_bubble("F")
-            self.pc = decode_redirect
-            self.fetch_halted = False  # squashed fetch may have halted us
-            return
-        if self.f_uop is not None:
-            # Decode is still occupied: the fetched instruction waits
-            self.trace.record("F", KIND_STALL, self.f_uop.instr,
-                              self.f_uop.seq)
-            self.trace.stalls.append(StallEvent(
-                cycle=self.cycle, stage="F",
-                cause=StallCause.RAW_HAZARD, seq=self.f_uop.seq))
-            return
-        if self.fetch_halted:
-            self.latches.write_bubble("F")
-            return
-        instr = self.program.instruction_at(self.pc)
-        if instr is None:
-            self.fetch_halted = True
-            self.latches.write_bubble("F")
-            return
-        uop = _Uop(instr=instr, pc=self.pc, seq=self.next_seq)
-        self.next_seq += 1
-        self._predict(uop)
-        self.latches.write_fetch(self.pc, instr.encode(),
-                                 int(uop.pred_taken) |
-                                 (self.predictor.state_signature() << 1))
-        self.trace.record("F", KIND_INSTR, instr, uop.seq)
-        self.f_uop = uop
-        self.pc = uop.pred_target if (uop.pred_taken and
-                                      uop.pred_target is not None) \
-            else (self.pc + 4) & MASK32
-        if instr.name in ("ecall", "ebreak"):
-            self.fetch_halted = True
-
-    def _predict(self, uop: _Uop) -> None:
-        """Fetch-time branch/jump prediction via predictor + BTB."""
-        instr = uop.instr
-        if self.oracle is not None and (instr.is_branch or instr.is_jump):
-            outcome = self.oracle.pop(uop.pc)
-            if outcome is not None:
-                uop.pred_taken, uop.pred_target = outcome
-                return
-        if instr.is_branch:
-            target = self.btb.lookup(uop.pc)
-            taken = self.predictor.predict(uop.pc) and target is not None
-            uop.pred_taken = taken
-            uop.pred_target = target
-        elif instr.is_jump:
-            target = self.btb.lookup(uop.pc)
-            uop.pred_taken = target is not None
-            uop.pred_target = target
+        trace.reserve(row)
+        self.f_uop, self.d_uop, self.e_uop, self.m_uop, self.w_uop = \
+            f, d, e, m, w
+        self.pc = pc
+        self.cycle = cycle
+        self.next_seq = seq
+        self.fetch_halted = fetch_halted
+        self.halted = halted
+        return trace
 
 
 def run_program(program: Program, config: CoreConfig = DEFAULT_CONFIG,
                 max_cycles: Optional[int] = None,
                 alu_bug: Optional[object] = None,
-                oracle: Optional[object] = None,
-                legacy_trace: bool = False) -> Tuple[ActivityTrace,
-                                                     Pipeline]:
-    """Convenience: run ``program`` on a fresh core, return (trace, core).
-
-    ``legacy_trace=True`` records through the seed's object-graph trace
-    and dict-backed latches (the reference oracle / bench baseline).
-    """
-    core = Pipeline(program, config=config, alu_bug=alu_bug, oracle=oracle,
-                    legacy_trace=legacy_trace)
+                oracle: Optional[object] = None) -> Tuple[ActivityTrace,
+                                                          Pipeline]:
+    """Convenience: run ``program`` on a fresh core, return (trace, core)."""
+    core = Pipeline(program, config=config, alu_bug=alu_bug, oracle=oracle)
     trace = core.run(max_cycles=max_cycles)
     return trace, core

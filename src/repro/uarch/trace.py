@@ -17,16 +17,28 @@ Every derived view of the seed API (``occupancy``, ``stage_kinds``,
 ``instruction_labels``, ``transition_matrix``) is preserved, computed
 lazily and vectorized.  The seed's object-graph recorder survives as
 :class:`LegacyActivityTrace` — the reference oracle the property tests
-and the ``repro bench --mode trace`` baseline run against.
+run the out-of-order core against.
 
-Recording protocol (implemented by both trace classes)::
+Recording protocol of the out-of-order core (and of both trace
+classes)::
 
     trace.begin_cycle()
     trace.record(stage, KIND_INSTR, instr, seq, DYN_HIT)   # active stages
     trace.stage_kind_at(stage)                             # mid-cycle peek
     trace.end_cycle(latches)                               # snapshot + advance
 
-Stages never recorded in a cycle default to the pipeline bubble.
+Stages never recorded in a cycle default to the pipeline bubble.  The
+in-order core's fused cycle loop records directly instead:
+
+* one packed code per stage per cycle, appended through
+  :meth:`ActivityTrace.code_appenders` — an instruction's
+  :meth:`~ActivityTrace.tag` OR a ``PACK_*`` constant;
+* one latch-vector row per cycle, copied into the buffer
+  :meth:`~ActivityTrace.reserve` returns;
+* stall, cache and retirement events as plain tuples, appended to
+  :meth:`~ActivityTrace.event_rows`.  The ``stalls``, ``cache_events``
+  and ``retired`` lists build their event objects from those tuples on
+  first read.
 """
 
 from __future__ import annotations
@@ -192,10 +204,50 @@ _INITIAL_CAPACITY = 512
 # bits 32-62: seq + 1 (31 bits).  A single list store per record keeps
 # the per-cycle cost at a couple of integer ops; the five code columns
 # (and the derived EM-class column) unpack lazily and vectorized.
-_PACK_BUBBLE = KIND_BUBBLE
 _INSTR_SHIFT = 8
 _INSTR_BITS = 24
 _SEQ_SHIFT = 32
+
+# Kind/dyn bits a direct recorder ORs onto a tag (KIND_INSTR is 0, so
+# an active stage with no dynamic tag records the bare tag; a bubble
+# holds no instruction, so its code is the bare kind).
+PACK_BUBBLE = KIND_BUBBLE
+PACK_STALL = KIND_STALL
+PACK_HIT = DYN_HIT << 2
+PACK_MISS = DYN_MISS << 2
+PACK_FINAL = DYN_FINAL << 2
+
+
+class _EventList:
+    """An event list recorded as tuples and built as objects on read.
+
+    The in-order core appends plain field tuples to ``_<name>_rows``;
+    the first read of the attribute turns pending tuples into ``build``
+    objects, appended in order to the list it returns.  Assigning a
+    list replaces the events and drops pending tuples.
+    """
+
+    def __init__(self, build) -> None:
+        self.build = build
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.objects = f"_{name}"
+        self.rows = f"_{name}_rows"
+
+    def __get__(self, trace, owner=None):
+        if trace is None:
+            return self
+        events = getattr(trace, self.objects)
+        rows = getattr(trace, self.rows)
+        if rows:
+            build = self.build
+            events.extend([build(*row) for row in rows])
+            rows.clear()
+        return events
+
+    def __set__(self, trace, events) -> None:
+        getattr(trace, self.rows).clear()
+        setattr(trace, self.objects, events)
 
 
 class ActivityTrace:
@@ -213,6 +265,10 @@ class ActivityTrace:
     lazy vectorized views that unpack (and cache) on demand.
     """
 
+    stalls = _EventList(StallEvent)
+    cache_events = _EventList(CacheEvent)
+    retired = _EventList(RetiredInstruction)
+
     def __init__(self, capacity: int = _INITIAL_CAPACITY) -> None:
         capacity = max(int(capacity), 1)
         self._n = 0
@@ -222,11 +278,14 @@ class ActivityTrace:
                                               for stage in STAGES}
         self._appenders = tuple(self._packed[stage].append
                                 for stage in STAGES)
-        self.stalls: List[StallEvent] = []
-        self.cache_events: List[CacheEvent] = []
+        self._stalls: List[StallEvent] = []
+        self._stalls_rows: List[tuple] = []
+        self._cache_events: List[CacheEvent] = []
+        self._cache_events_rows: List[tuple] = []
+        self._retired: List[RetiredInstruction] = []
+        self._retired_rows: List[tuple] = []
         self.branch_events: List[BranchEvent] = []
         self.flushes: List[FlushEvent] = []
-        self.retired: List[RetiredInstruction] = []
         self._instr_table: List[Instruction] = []
         self._instr_ids: Dict[int, int] = {}
         self._transition_cache: Dict[str, np.ndarray] = {}
@@ -239,7 +298,7 @@ class ActivityTrace:
         if self._n >= self._capacity:
             self._grow()
         for append in self._appenders:
-            append(_PACK_BUBBLE)
+            append(PACK_BUBBLE)
 
     def record(self, stage: str, kind: int,
                instr: Optional[Instruction] = None, seq: int = -1,
@@ -251,6 +310,16 @@ class ActivityTrace:
         called again for the same stage (e.g. a flush squashing it); the
         last record wins.
         """
+        self._packed[stage][-1] = kind | (dyn << 2) | self.tag(instr, seq)
+
+    def tag(self, instr: Optional[Instruction], seq: int) -> int:
+        """Packed code of ``instr`` running as dynamic instruction
+        ``seq`` (``-1`` for none), with kind and dyn bits clear.
+
+        A recorder ORs a ``PACK_*`` constant onto it; the bare tag is an
+        active stage with no dynamic tag.  The first tag of an
+        instruction object enters it into :attr:`instruction_table`.
+        """
         if instr is None:
             code = 0
         else:
@@ -260,9 +329,30 @@ class ActivityTrace:
                 table.append(instr)
                 code = len(table)
                 self._instr_ids[id(instr)] = code
-        self._packed[stage][-1] = (kind | (dyn << 2) |
-                                   (code << _INSTR_SHIFT) |
-                                   ((seq + 1) << _SEQ_SHIFT))
+        return (code << _INSTR_SHIFT) | ((seq + 1) << _SEQ_SHIFT)
+
+    # -- direct recording (the in-order core's fused cycle loop) --------
+    def code_appenders(self) -> Tuple:
+        """``append`` of each stage's packed code column, in
+        :data:`STAGES` order; a direct recorder appends exactly one code
+        per stage per cycle, then calls :meth:`reserve` with the new
+        cycle count."""
+        return self._appenders
+
+    def event_rows(self) -> Tuple[List[tuple], List[tuple], List[tuple]]:
+        """Pending-tuple lists of ``stalls`` (``cycle, stage, cause,
+        seq``), ``cache_events`` (``cycle, address, is_store, hit,
+        seq``) and ``retired`` (``seq, pc, instr, cycle``)."""
+        return self._stalls_rows, self._cache_events_rows, \
+            self._retired_rows
+
+    def reserve(self, cycles: int) -> np.ndarray:
+        """Mark ``cycles`` cycles recorded; return the latch buffer, with
+        room for at least one more row (row ``n`` is cycle ``n``)."""
+        self._n = cycles
+        if cycles >= self._capacity:
+            self._grow()
+        return self._vals
 
     def stage_kind_at(self, stage: str) -> int:
         """The ``KIND_*`` code currently recorded for ``stage`` in the
@@ -450,6 +540,15 @@ class ActivityTrace:
         """(cycles,) total latch bit-flips per cycle for ``stage``."""
         return self.transition_matrix(stage).sum(axis=1)
 
+    def register_flip_counts(self, stage: str) -> np.ndarray:
+        """(cycles, registers) latch bit-flips per register for
+        ``stage``: each register's bits of :meth:`transition_matrix`
+        summed, as a popcount of the XOR of adjacent latch rows."""
+        values = self.values_matrix(stage)
+        xor = values.copy()
+        xor[1:] ^= values[:-1]
+        return np.bitwise_count(xor)
+
     def total_flip_counts(self) -> np.ndarray:
         """(cycles,) bit-flips per cycle summed over all stages."""
         return np.stack([self.flip_counts(stage)
@@ -473,7 +572,7 @@ class ActivityTrace:
     def _materialize(self, stage: str) -> List[StageOccupancy]:
         """Build the occupancy object list for one stage."""
         table = self._instr_table
-        memo: Dict[int, StageOccupancy] = {_PACK_BUBBLE: _BUBBLE_OCC}
+        memo: Dict[int, StageOccupancy] = {PACK_BUBBLE: _BUBBLE_OCC}
         out: List[StageOccupancy] = []
         for packed in self._packed[stage]:
             occ = memo.get(packed)
@@ -542,8 +641,8 @@ class ActivityTrace:
     # -- convenience statistics ---------------------------------------------
     @property
     def instructions_retired(self) -> int:
-        """Count of retired instructions."""
-        return len(self.retired)
+        """Count of retired instructions (builds no event objects)."""
+        return len(self._retired) + len(self._retired_rows)
 
     @property
     def mispredictions(self) -> int:
@@ -552,8 +651,9 @@ class ActivityTrace:
 
     @property
     def cache_misses(self) -> int:
-        """Count of data-cache misses."""
-        return sum(not event.hit for event in self.cache_events)
+        """Count of data-cache misses (builds no event objects)."""
+        return sum(not event.hit for event in self._cache_events) + \
+            sum(not row[3] for row in self._cache_events_rows)
 
     def stage_bits(self, stage: str) -> int:
         """Number of tracked latch bits for ``stage``."""
@@ -567,10 +667,11 @@ class LegacyActivityTrace:
     Recording appends one :class:`StageOccupancy` and one latch tuple
     per stage per cycle, and every derived view is the seed's Python
     scan — byte-for-byte the pre-columnar implementation, plus an
-    adapter for the begin/record/end protocol so both cores can run
-    with either recorder.  Property tests assert the columnar trace's
-    views are bit-identical to this one; ``repro bench --mode trace``
-    uses it (with ``LegacyHardwareLatches``) as the measured baseline.
+    adapter for the begin/record/end protocol so the out-of-order core
+    and the retired in-order engine kept with the tests can record
+    into it.  Property tests assert the columnar trace's views are
+    bit-identical to this one; ``benchmarks/test_perf_trace.py`` uses
+    it (with ``LegacyHardwareLatches``) as the measured baseline.
     """
 
     occupancy: Dict[str, List[StageOccupancy]] = field(

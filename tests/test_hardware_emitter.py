@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.hardware import DE0_CV, HardwareEmitter, ProbePosition
+from repro.hardware.boards import BOARDS
 from repro.hardware.emitter import stage_couplings
 from repro.isa import Instruction
 from repro.uarch import run_program
-from repro.workloads import nop_padded
+from repro.workloads import ALL_KERNELS, nop_padded
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +28,31 @@ def test_unit_amplitudes_shape_and_positivity(emitter, trace):
     amplitudes = emitter.unit_amplitudes(trace)
     assert amplitudes.shape == (trace.num_cycles, len(emitter.units))
     assert np.all(amplitudes >= 0)
+
+
+def _label_unit_amplitudes(emitter, trace):
+    """Unit amplitudes with static activity looked up per class label."""
+    amplitudes = np.zeros((trace.num_cycles, len(emitter.units)))
+    for column, unit in enumerate(emitter.units):
+        labels, inverse = np.unique(np.array(trace.em_classes(unit.stage)),
+                                    return_inverse=True)
+        static = np.array([unit.static_activity(label)
+                           for label in labels], dtype=float)[inverse]
+        flips = trace.transition_matrix(unit.stage)[:, unit.bit_indices] \
+            @ unit.bit_weights
+        amplitudes[:, column] = static + flips
+    return amplitudes
+
+
+@pytest.mark.parametrize("kernel", sorted(ALL_KERNELS))
+def test_unit_amplitudes_match_label_lookup(kernel, trace):
+    traces = (trace, run_program(ALL_KERNELS[kernel]())[0])
+    for board in BOARDS.values():
+        board_emitter = HardwareEmitter(board.build_units())
+        for each in traces:
+            assert np.array_equal(board_emitter.unit_amplitudes(each),
+                                  _label_unit_amplitudes(board_emitter,
+                                                         each))
 
 
 def test_signal_is_superposition_of_units(emitter, trace):

@@ -8,7 +8,9 @@ bit with :mod:`tests.oracles.model_predict` under every combination of
 multiplies and stalled loads, and on AES.  The EM-class rows are
 memoized by instruction value, so a trace decoded from the
 ``repro-trace/1`` codec (new but equal instructions) must classify
-exactly as the original.
+exactly as the original.  Eq. 8 activity factors, built from only the
+selected design columns, must equal the fitted model applied to the full
+stage design.
 """
 
 import dataclasses
@@ -20,11 +22,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import EMSim, ModelSwitches, train_emsim
+from repro.core.activity import stage_design_matrix
+from repro.core.factors import RegressionActivity, _clip
+from repro.core.regression import LinearModel
 from repro.hardware import HardwareDevice
 from repro.isa.instructions import Instruction
 from repro.leakage.aes import DEFAULT_KEY, aes_program
 from repro.uarch import trace as trace_module
-from repro.uarch.latches import STAGE_REGISTERS, STAGES
+from repro.uarch.latches import STAGE_REGISTERS, STAGES, stage_bit_count
 from repro.uarch.trace import (OCC_BUBBLE, OCC_INSTR, OCC_STALL,
                                ActivityTrace, StageOccupancy)
 from repro.uarch.tracecodec import decode_trace, encode_trace
@@ -158,3 +163,45 @@ def test_codec_round_trip_keeps_em_codes(simulator):
     assert np.array_equal(
         simulator.model.predict_cycle_amplitudes(decoded),
         simulator.model.predict_cycle_amplitudes(trace))
+
+
+def _assert_alpha_matches_full_design(model, trace):
+    """Eq. 8 from the selected columns equals Eq. 8 on the full design."""
+    activity = model.regression_activity
+    assert set(activity.models) == set(STAGES)
+    for stage, linear in activity.models.items():
+        full = _clip(linear.predict(stage_design_matrix(trace, stage)))
+        assert np.array_equal(activity.alpha(trace, stage), full), stage
+
+
+@given(seed=st.integers(0, 2**16 - 1), length=st.integers(8, 48))
+@settings(max_examples=12, deadline=None)
+def test_selected_column_alpha_matches_full_design(simulator, seed,
+                                                   length):
+    trace = simulator.run_trace(_random_program(seed, length))
+    _assert_alpha_matches_full_design(simulator.model, trace)
+
+
+def test_selected_column_alpha_matches_full_design_on_aes(simulator):
+    for plaintext in ([7] * 16, list(range(16))):
+        trace = simulator.run_trace(aes_program(DEFAULT_KEY, plaintext,
+                                                rounds=2))
+        _assert_alpha_matches_full_design(simulator.model, trace)
+
+
+def test_selected_column_alpha_of_every_feature_kind(simulator):
+    """Count-only, bit-only, mixed and unsorted feature selections."""
+    trace = simulator.run_trace(_random_program(11, 40))
+    rng = np.random.default_rng(5)
+    for stage in STAGES:
+        registers = len(STAGE_REGISTERS[stage])
+        width = registers + stage_bit_count(stage)
+        for features in (np.arange(registers), np.arange(registers, width),
+                         rng.permutation(width)[:17], np.array([0])):
+            linear = LinearModel(intercept=0.25,
+                                 coefficients=rng.normal(
+                                     size=features.size) * 0.05,
+                                 features=features)
+            activity = RegressionActivity(models={stage: linear})
+            full = _clip(linear.predict(stage_design_matrix(trace, stage)))
+            assert np.array_equal(activity.alpha(trace, stage), full)

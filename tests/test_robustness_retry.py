@@ -99,6 +99,23 @@ def test_clean_capture_first_try():
     assert supervisor.stats.probes_retried == 0
 
 
+class _UnprintableProbe(_Probe):
+    def __repr__(self):
+        raise AssertionError("a named program must not be stringified")
+
+
+def test_named_program_is_never_stringified():
+    _, outcome = _supervisor(_StubDevice(["good"])).measure(
+        _UnprintableProbe(), method="reference", repetitions=16)
+    assert outcome.program == "stub_probe"
+
+
+def test_nameless_program_is_labelled_by_its_string():
+    _, outcome = _supervisor(_StubDevice(["good"])).measure(
+        "nameless", method="reference", repetitions=16)
+    assert outcome.program == "nameless"
+
+
 def test_retry_recovers_from_acquisition_failure():
     device = _StubDevice(["fail", "good"])
     supervisor = _supervisor(device)

@@ -2,10 +2,12 @@
 
 The columnar :class:`~repro.uarch.trace.ActivityTrace` replaced the
 seed's per-cycle object-graph recording; the seed path survives as
-``LegacyActivityTrace``, the reference oracle.  These properties pin
-the equivalence over *arbitrary* generated programs — not just the
-canned kernels the unit tests use — on both cores and under ALU fault
-injection, and pin the ``repro-trace/1`` codec: a round trip must be
+``LegacyActivityTrace``, the reference oracle, recorded by the retired
+in-order core of ``tests/oracles/pipeline.py`` and by the out-of-order
+core's ``legacy_trace`` branch.  These properties pin the equivalence
+over *arbitrary* generated programs — not just the canned kernels the
+unit tests use — on both cores and under ALU fault injection, and pin
+the ``repro-trace/1`` codec: a round trip must be
 byte-stable and bit-identical, and any truncation or single-byte
 corruption must surface as :class:`TraceCodecError` (which the trace
 cache treats as a miss), never as a wrong trace or a foreign exception.
@@ -17,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.tracebench import assert_traces_identical
 from repro.leakage.debugging import (buggy_multiplier,
                                      multiplier_stress_program)
 from repro.uarch import run_program, run_program_ooo
@@ -25,6 +26,8 @@ from repro.uarch.tracecodec import (TraceCodecError, decode_trace,
                                     encode_trace)
 from repro.workloads import fibonacci
 from repro.workloads.generators import RandomProgramBuilder
+from tests.oracles import pipeline as oracle_pipeline
+from tests.oracles.traces import assert_traces_identical
 
 
 def _random_program(seed, length, **builder_options):
@@ -43,7 +46,7 @@ _PAYLOAD = encode_trace(run_program(fibonacci(6))[0])
 @settings(max_examples=25, deadline=None)
 def test_columnar_matches_legacy_inorder(seed, length):
     program = _random_program(seed, length)
-    legacy, _ = run_program(program, legacy_trace=True)
+    legacy, _ = oracle_pipeline.run_program(program, legacy_trace=True)
     columnar, _ = run_program(program)
     assert_traces_identical(legacy, columnar)
 
@@ -61,8 +64,8 @@ def test_columnar_matches_legacy_ooo(seed, length):
 @settings(max_examples=10, deadline=None)
 def test_columnar_matches_legacy_under_fault_injection(seed, muls):
     program = multiplier_stress_program(muls, seed=seed)
-    legacy, _ = run_program(program, alu_bug=buggy_multiplier,
-                            legacy_trace=True)
+    legacy, _ = oracle_pipeline.run_program(
+        program, alu_bug=buggy_multiplier, legacy_trace=True)
     columnar, _ = run_program(program, alu_bug=buggy_multiplier)
     assert_traces_identical(legacy, columnar)
 

@@ -79,7 +79,7 @@ class AnalysisConfig:
         "LegacyActivityTrace.end_cycle", "LegacyActivityTrace.record",
         "LegacyHardwareLatches.write",
         "LegacyHardwareLatches.write_bubble",
-        "OutOfOrderCore.step", "Pipeline.step",
+        "OutOfOrderCore.step", "Pipeline.run",
         "reconstruction._banded_rhs",
         "reconstruction._overlap_add_synthesize",
         "reconstruction._spectral_synthesize"])
